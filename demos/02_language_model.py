@@ -6,6 +6,10 @@ The variant surfaces are tokenized into unigram/bigram/trigram counts;
 a token sequence is "valid" when its order-two chain probability is
 nonzero. No smoothing: unseen transitions are exactly zero, and that
 zero is the signal separating location names from everything else.
+
+The language model scores; extraction prunes with the prefix index
+(model.prefixes, every proper token prefix of a variant), which keeps
+exactly the sequences that can still grow into a variant.
 """
 
 from locspot import (
@@ -24,6 +28,7 @@ gazetteer = build_gazetteer(entries, set(), set(), set())
 model = compute_model(gazetteer)
 
 print("vocabulary:", sorted(model.vocabulary))
+print("prefixes:  ", sorted(model.prefixes))
 
 # "texas ave" is a valid (and preferred) bigram; "is closed" is not.
 for probe in ("texas", "texas ave", "is closed", "ave texas"):

@@ -97,7 +97,7 @@ def peak_rss_mb() -> float:
 
 
 def run_benchmark(tweet_count=10000, variant_target=50000, seed=13,
-                  workers=1, extraction_config=None) -> dict:
+                  extraction_config=None) -> dict:
     """Build a synthetic region, extract a tweet stream, report numbers."""
     if extraction_config is None:
         from .extractor import ExtractionConfig
@@ -122,5 +122,4 @@ def run_benchmark(tweet_count=10000, variant_target=50000, seed=13,
         "seconds": elapsed,
         "tweets_per_second": tweet_count / elapsed if elapsed > 0 else 0.0,
         "peak_rss_mb": peak_rss_mb(),
-        "workers": workers,
     }

@@ -1,9 +1,11 @@
-"""Versioned binary cache for a built gazetteer and its compiled model.
+"""Versioned binary cache for a built gazetteer.
 
 Layout: 4 magic bytes "LSPC", 1 version byte, then a zlib-compressed
 UTF-8 JSON payload with sorted keys, so identical inputs always produce
-byte-identical cache files. The payload stores entries, the variant
-index, and the model's n-gram counts.
+byte-identical cache files. The version 2 payload stores entries, the
+variant index, category words, and stop-names; the language model is a
+pure function of the variants and is derived on load. Version 1 caches
+(which also stored n-gram counts) are rejected and must be rebuilt.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ from pathlib import Path
 
 from .errors import DataError
 from .gazetteer import Gazetteer, GazetteerEntry, NameVariant
-from .langmodel import CompiledModel, NGramCounts
+from .langmodel import CompiledModel, compute_model
 
 MAGIC = b"LSPC"
-VERSION = 1
+VERSION = 2
 
 
-def _payload(gazetteer: Gazetteer, model: CompiledModel) -> dict:
-    counts = model.counts
+def _payload(gazetteer: Gazetteer) -> dict:
     return {
         "entries": {
             e.id: {
@@ -39,41 +40,21 @@ def _payload(gazetteer: Gazetteer, model: CompiledModel) -> dict:
         },
         "category_words": sorted(gazetteer.category_words),
         "stopnames": sorted(gazetteer.stopnames),
-        "counts": {
-            "unigrams": counts.unigram_counts,
-            "bigrams": {
-                w1: row for w1, row in counts.bigram_cfd.items()
-            },
-            "trigrams": {
-                f"{w1} {w2}": row
-                for (w1, w2), row in counts.trigram_cfd.items()
-            },
-            "total_unigrams": counts.total_unigrams,
-        },
     }
 
 
 def save_cache(path, gazetteer: Gazetteer, model: CompiledModel):
-    """Write the cache file; overwrites any existing file at path."""
-    payload = json.dumps(_payload(gazetteer, model), sort_keys=True,
+    """Write the cache file; overwrites any existing file at path.
+
+    The model is not stored, because load_cache derives it on load.
+    """
+    payload = json.dumps(_payload(gazetteer), sort_keys=True,
                          ensure_ascii=False, separators=(",", ":"))
     blob = MAGIC + bytes([VERSION]) + zlib.compress(payload.encode("utf-8"), 9)
     Path(path).write_bytes(blob)
 
 
-def load_cache(path) -> tuple[Gazetteer, CompiledModel]:
-    """Read a cache file back into a Gazetteer and CompiledModel."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != MAGIC:
-        raise DataError(f"{path}: not a locspot model cache (bad magic)")
-    if blob[4:5] != bytes([VERSION]):
-        raise DataError(
-            f"{path}: unsupported cache version {blob[4] if len(blob) > 4 else '?'}")
-    try:
-        payload = json.loads(zlib.decompress(blob[5:]).decode("utf-8"))
-    except (zlib.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: corrupt cache payload: {exc}") from None
-
+def _gazetteer(payload) -> Gazetteer:
     entries = {
         entry_id: GazetteerEntry(
             id=entry_id,
@@ -90,20 +71,29 @@ def load_cache(path) -> tuple[Gazetteer, CompiledModel]:
                              entry_ids=set(spec["entry_ids"]))
         for surface, spec in payload["variants"].items()
     }
-    gazetteer = Gazetteer(
+    return Gazetteer(
         variants=variants,
         entries=entries,
         category_words=frozenset(payload["category_words"]),
         stopnames=frozenset(payload["stopnames"]),
     )
-    raw = payload["counts"]
-    counts = NGramCounts(
-        unigram_counts=dict(raw["unigrams"]),
-        bigram_cfd={w1: dict(row) for w1, row in raw["bigrams"].items()},
-        trigram_cfd={
-            tuple(ctx.split(" ")): dict(row)
-            for ctx, row in raw["trigrams"].items()
-        },
-        total_unigrams=raw["total_unigrams"],
-    )
-    return gazetteer, CompiledModel(counts)
+
+
+def load_cache(path) -> tuple[Gazetteer, CompiledModel]:
+    """Read a cache file back into a Gazetteer and its CompiledModel."""
+    blob = Path(path).read_bytes()
+    if blob[:4] != MAGIC:
+        raise DataError(f"{path}: not a locspot model cache (bad magic)")
+    if blob[4:5] != bytes([VERSION]):
+        version = blob[4] if len(blob) > 4 else "?"
+        raise DataError(f"{path}: unsupported cache version {version}; "
+                        "rebuild it with `locspot build`")
+    try:
+        payload = json.loads(zlib.decompress(blob[5:]).decode("utf-8"))
+    except (zlib.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: corrupt cache payload: {exc}") from None
+    try:
+        gazetteer = _gazetteer(payload)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{path}: malformed cache payload: {exc!r}") from None
+    return gazetteer, compute_model(gazetteer)

@@ -129,11 +129,6 @@ def cmd_build(args) -> int:
 _WORKER_EXTRACTOR = None
 
 
-def _init_worker(extractor):
-    global _WORKER_EXTRACTOR
-    _WORKER_EXTRACTOR = extractor
-
-
 def process_line(line, extractor=None) -> str:
     """Turn one input line into one output record line."""
     extractor = extractor or _WORKER_EXTRACTOR
@@ -180,7 +175,7 @@ def cmd_extract(args) -> int:
         global _WORKER_EXTRACTOR
         _WORKER_EXTRACTOR = extractor  # inherited on fork
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(config.workers, _init_worker, (extractor,)) as pool:
+        with ctx.Pool(config.workers) as pool:
             for out in pool.imap(process_line, sys.stdin, chunksize=64):
                 print(out)
                 lines += 1
@@ -266,7 +261,6 @@ def cmd_bench(args) -> int:
         tweet_count=args.tweets,
         variant_target=args.variants,
         seed=args.seed,
-        workers=config.workers,
         extraction_config=_extraction_config(config),
     )
     print(json.dumps(report, sort_keys=True, indent=2))

@@ -3,10 +3,11 @@
 Each stop-word-free fragment of a prepared tweet is expanded into token
 synonym vectors (abbreviations and expansions in both directions), then
 a bottom-up tree glues consecutive tokens into longer sequences, keeping
-only those the language model scores above zero. Sequences whose surface
-is an actual gazetteer variant become candidates; overlap resolution
-prefers the longest mentions and links every survivor to its gazetteer
-entries by dictionary lookup.
+only those that are a proper prefix of some gazetteer variant (the
+same candidates as language-model pruning; see find_valid_ngrams).
+Sequences whose surface is an actual gazetteer variant become
+candidates; overlap resolution prefers the longest mentions and links
+every survivor to its gazetteer entries by dictionary lookup.
 """
 
 from __future__ import annotations
@@ -101,6 +102,10 @@ class AbbreviationDictionary:
     def lookup(self, token: str) -> frozenset[str]:
         return self._mapping.get(token, frozenset())
 
+    def keys(self):
+        """Every token that has alternatives (abbreviation or expansion)."""
+        return self._mapping.keys()
+
 
 def expand_token(token, suffix_dict, osm_abbrev_dict) -> TokenSynonymVector:
     """Build the synonym vector for one case-folded token."""
@@ -115,11 +120,13 @@ def expand_token(token, suffix_dict, osm_abbrev_dict) -> TokenSynonymVector:
 def find_valid_ngrams(fragment, model, gazetteer, stats=None) -> set[Candidate]:
     """Bottom-up assembly of valid n-grams over one fragment.
 
-    Level 1 keeps every alternative that is a gazetteer unigram; level
-    k glues a level-(k-1) sequence with an adjacent level-1 alternative
-    whenever the combined sequence still has nonzero probability, so
-    invalid n-grams are pruned the moment they appear. A sequence
-    becomes a candidate when its surface is a gazetteer variant.
+    Level 1 keeps every alternative in the model's vocabulary; level k
+    glues a level-(k-1) sequence with an adjacent level-1 alternative.
+    A sequence becomes a candidate when its surface is a gazetteer
+    variant and is extended only while its surface is in
+    model.prefixes. Every prefix of a variant has nonzero bigram and
+    trigram counts, so this keeps exactly the candidates that pruning
+    by the language model keeps, and it is the tightest filter that does.
     """
     n = len(fragment)
     if n == 0:
@@ -130,48 +137,31 @@ def find_valid_ngrams(fragment, model, gazetteer, stats=None) -> set[Candidate]:
             max(len(v.alternatives) for v in fragment),
         )
 
+    prefixes = model.prefixes
     variants = gazetteer.variants
-    level1: list[list[str]] = []
-    for vector in fragment:
-        level1.append([a for a in vector.alternatives
-                       if model.unigram_count(a) > 0])
+    level1 = [[a for a in vector.alternatives if a in model.vocabulary]
+              for vector in fragment]
 
     candidates: set[Candidate] = set()
-    # sequences starting at i with the current length, as token tuples
-    active: dict[int, list[tuple[str, ...]]] = {}
-    for i, alts in enumerate(level1):
-        seqs = []
-        for alt in alts:
-            if stats is not None:
-                stats.count(i, i + 1)
-            seqs.append((alt,))
-            if alt in variants:
-                candidates.add(Candidate(i, i + 1, alt))
-        if seqs:
-            active[i] = seqs
-
-    for length in range(2, n + 1):
-        extended: dict[int, list[tuple[str, ...]]] = {}
-        for start, seqs in active.items():
-            last = start + length - 1
-            if last >= n:
+    # surfaces by start position, of the current length, that can still
+    # grow; level 1 grows each start from the empty surface
+    active: dict[int, list[str]] = {i: [""] for i in range(n)}
+    for length in range(1, n + 1):
+        extended: dict[int, list[str]] = {}
+        for start, heads in active.items():
+            end = start + length
+            if end > n:
                 continue
             grown = []
-            for seq in seqs:
-                for alt in level1[last]:
+            for head in heads:
+                for alt in level1[end - 1]:
                     if stats is not None:
-                        stats.count(start, last + 1)
-                    if length == 2:
-                        ok = model.bigram_count(seq[-1], alt) > 0
-                    else:
-                        ok = model.trigram_count(seq[-2], seq[-1], alt) > 0
-                    if not ok:
-                        continue
-                    new_seq = seq + (alt,)
-                    grown.append(new_seq)
-                    surface = " ".join(new_seq)
+                        stats.count(start, end)
+                    surface = f"{head} {alt}" if head else alt
                     if surface in variants:
-                        candidates.add(Candidate(start, last + 1, surface))
+                        candidates.add(Candidate(start, end, surface))
+                    if surface in prefixes:
+                        grown.append(surface)
             if grown:
                 extended[start] = grown
         if not extended:
@@ -278,19 +268,16 @@ class LocationExtractor:
                     vocabulary[word] = max(1, int(p * self.segmenter.total_mass))
             self.corrector = SymmetricDeleteCorrector(
                 vocabulary, config.max_edit_distance)
-        self._vector_cache: dict[str, TokenSynonymVector] = {}
+        # any token missing here has the vector (token,)
+        self.synonyms = {
+            token: expand_token(
+                token, config.suffix_dict, config.osm_abbrev_dict)
+            for dictionary in (config.suffix_dict, config.osm_abbrev_dict)
+            for token in dictionary.keys()}
 
     def prepare(self, raw: str) -> textprep.TweetDocument:
         return textprep.prepare_tweet(
             raw, self.stopwords, self.segmenter, self.corrector)
-
-    def _vector(self, surface: str) -> TokenSynonymVector:
-        vector = self._vector_cache.get(surface)
-        if vector is None:
-            vector = expand_token(
-                surface, self.config.suffix_dict, self.config.osm_abbrev_dict)
-            self._vector_cache[surface] = vector
-        return vector
 
     def extract(self, raw: str, stats=None) -> list[LocationMention]:
         """Extract and link every location mention in one raw tweet."""
@@ -299,7 +286,9 @@ class LocationExtractor:
         document = self.prepare(raw)
         mentions: list[LocationMention] = []
         for fragment in document.splits:
-            vectors = [self._vector(t.surface) for t in fragment]
+            vectors = [self.synonyms.get(t.surface)
+                       or TokenSynonymVector(t.surface, (t.surface,))
+                       for t in fragment]
             candidates = find_valid_ngrams(
                 vectors, self.model, self.gazetteer, stats)
             mentions.extend(

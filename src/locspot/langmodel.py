@@ -9,12 +9,16 @@ sequence's probability is the order-two Markov chain
 with every conditional estimated as the ratio of collocation counts.
 There is no smoothing: a sequence containing any unseen transition has
 probability exactly zero, which is the validity signal.
+
+Only the vocabulary and prefix index that extraction reads are eager;
+counts and MLE tables are derived from the variants on first access.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DataError
 
@@ -32,25 +36,53 @@ class NGramCounts:
 
 
 class CompiledModel:
-    """Immutable n-gram counts, MLE probability tables, and vocabulary.
+    """Vocabulary, prefix index, and lazily derived n-gram tables.
 
-    Shareable across any number of concurrent readers once built.
+    prefixes holds every proper token prefix of a surface, joined by
+    single spaces ("new avadi" for "new avadi road"). Shareable across
+    any number of concurrent readers once built.
     """
 
-    def __init__(self, counts: NGramCounts):
-        self.counts = counts
-        self.vocabulary = frozenset(counts.unigram_counts)
-        total = counts.total_unigrams
-        self.unigram_p = {w: c / total for w, c in counts.unigram_counts.items()}
-        # row-normalized MLE tables (each row sums to 1)
-        self.cpd = {
+    def __init__(self, surfaces):
+        self.surfaces = surfaces
+        self.vocabulary = frozenset(w for s in surfaces for w in s.split())
+        self.prefixes = frozenset(
+            " ".join(tokens[:k]) for tokens in map(str.split, surfaces)
+            for k in range(1, len(tokens)))
+
+    @cached_property
+    def counts(self) -> NGramCounts:
+        """Collocation counts over the surfaces, computed on first access."""
+        counts = NGramCounts()
+        for surface in self.surfaces:
+            tokens = surface.split()
+            for w in tokens:
+                counts.unigram_counts[w] = counts.unigram_counts.get(w, 0) + 1
+                counts.total_unigrams += 1
+            for w1, w2 in zip(tokens, tokens[1:]):
+                row = counts.bigram_cfd.setdefault(w1, {})
+                row[w2] = row.get(w2, 0) + 1
+            for w1, w2, w3 in zip(tokens, tokens[1:], tokens[2:]):
+                row = counts.trigram_cfd.setdefault((w1, w2), {})
+                row[w3] = row.get(w3, 0) + 1
+        return counts
+
+    @cached_property
+    def unigram_p(self) -> dict[str, float]:
+        total = self.counts.total_unigrams
+        return {w: c / total for w, c in self.counts.unigram_counts.items()}
+
+    @cached_property
+    def cpd(self) -> dict[str, dict]:
+        """Row-normalized MLE tables (each row sums to 1)."""
+        return {
             "bigram": {
                 w1: {w2: c / sum(row.values()) for w2, c in row.items()}
-                for w1, row in counts.bigram_cfd.items()
+                for w1, row in self.counts.bigram_cfd.items()
             },
             "trigram": {
                 ctx: {w3: c / sum(row.values()) for w3, c in row.items()}
-                for ctx, row in counts.trigram_cfd.items()
+                for ctx, row in self.counts.trigram_cfd.items()
             },
         }
 
@@ -95,19 +127,7 @@ def compute_model(gazetteer) -> CompiledModel:
     """Compile the gazetteer's variant surfaces into a CompiledModel."""
     if not gazetteer.variants:
         raise DataError("cannot compute a language model from an empty gazetteer")
-    counts = NGramCounts()
-    for surface in gazetteer.variants:
-        tokens = surface.split()
-        for w in tokens:
-            counts.unigram_counts[w] = counts.unigram_counts.get(w, 0) + 1
-            counts.total_unigrams += 1
-        for w1, w2 in zip(tokens, tokens[1:]):
-            row = counts.bigram_cfd.setdefault(w1, {})
-            row[w2] = row.get(w2, 0) + 1
-        for w1, w2, w3 in zip(tokens, tokens[1:], tokens[2:]):
-            row = counts.trigram_cfd.setdefault((w1, w2), {})
-            row[w3] = row.get(w3, 0) + 1
-    return CompiledModel(counts)
+    return CompiledModel(gazetteer.variants)
 
 
 def sequence_probability(model: CompiledModel, tokens) -> float:

@@ -1,8 +1,11 @@
 import hashlib
+import json
+import zlib
 
 import pytest
 
 from locspot import compute_model, load_cache, save_cache
+from locspot.cache import MAGIC, VERSION
 from locspot.errors import DataError
 
 from conftest import MINI_NAMES, build_from_names
@@ -61,5 +64,24 @@ def test_corrupt_payload_rejected(tmp_path, mini_gazetteer, mini_model):
     save_cache(path, mini_gazetteer, mini_model)
     blob = path.read_bytes()
     path.write_bytes(blob[:16] + b"\x00\x00\x00\x00" + blob[20:])
+    with pytest.raises(DataError):
+        load_cache(path)
+
+
+def test_version_1_cache_rejected(tmp_path, mini_gazetteer, mini_model):
+    path = tmp_path / "model.lspc"
+    save_cache(path, mini_gazetteer, mini_model)
+    blob = bytearray(path.read_bytes())
+    blob[4] = 1
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="unsupported cache version 1"):
+        load_cache(path)
+
+
+@pytest.mark.parametrize("payload", [{"entries": {}}, [1, 2]])
+def test_wrong_shape_payload_rejected(tmp_path, payload):
+    path = tmp_path / "model.lspc"
+    path.write_bytes(MAGIC + bytes([VERSION])
+                     + zlib.compress(json.dumps(payload).encode("utf-8")))
     with pytest.raises(DataError):
         load_cache(path)

@@ -2,9 +2,12 @@ import json
 import random
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
+
+from locspot.cache import MAGIC, VERSION
 
 DATA = Path(__file__).parent / "data"
 CONFIG = DATA / "config.json"
@@ -159,6 +162,15 @@ def test_extract_missing_cache_nonzero_exit(tmp_path):
     result = run_cli("--model-cache", str(tmp_path / "absent.lspc"),
                      "extract", stdin="")
     assert result.returncode != 0
+
+
+def test_extract_wrong_shape_cache_is_data_error(tmp_path):
+    path = tmp_path / "shape.lspc"
+    path.write_bytes(MAGIC + bytes([VERSION])
+                     + zlib.compress(json.dumps({"entries": {}}).encode()))
+    result = run_cli("--model-cache", str(path), "extract", stdin="")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
 
 
 # --------------------------------------------------------------- evaluate

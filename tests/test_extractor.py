@@ -88,6 +88,16 @@ def test_find_valid_ngrams_uses_expansions(mini_model, mini_gazetteer):
     assert {c.surface for c in candidates} == {"avadi road"}
 
 
+def test_find_valid_ngrams_ignores_spaced_expansion(mini_model,
+                                                    mini_gazetteer):
+    # an expansion holding a space is never a vocabulary token, so it
+    # cannot match the variant it spells out
+    osm = AbbreviationDictionary({"ar": {"avadi road"}})
+    candidates = find_valid_ngrams(
+        vectors_for(["ar"], SUFFIXES, osm), mini_model, mini_gazetteer)
+    assert candidates == set()
+
+
 # ---------------------------------------------------------- overlap rules
 
 def test_resolve_prefers_longest(mini_gazetteer):

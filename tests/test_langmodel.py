@@ -46,6 +46,14 @@ def test_toy_mle_numbers():
             / model.unigram_count("york")) == pytest.approx(1 / 2)
 
 
+def test_prefixes_are_proper_token_prefixes():
+    _, model = model_for("New Avadi Road", "Texas")
+    assert model.prefixes == {"new", "new avadi"}
+    assert model.vocabulary == {"new", "avadi", "road", "texas"}
+    # the counts and MLE tables are derived only when read
+    assert not {"counts", "unigram_p", "cpd"} & set(vars(model))
+
+
 def test_empty_gazetteer_rejected():
     gazetteer = build_gazetteer([], set(), set(), set())
     with pytest.raises(DataError):
