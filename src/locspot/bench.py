@@ -14,7 +14,7 @@ import resource
 import time
 
 from .extractor import LocationExtractor
-from .gazetteer import GazetteerEntry, build_gazetteer
+from .gazetteer import GazetteerEntry, build_gazetteer, skipgram_variants
 from .langmodel import compute_model
 
 _SPECIFIC = """
@@ -42,36 +42,28 @@ can situation getting worse by the hour
 """.split()
 
 
-def _generate_entries(rng, entries, estimate_target):
-    estimate = 0
-    while estimate < estimate_target:
-        index = len(entries)
+def synthetic_gazetteer(variant_target: int, seed: int):
+    """Generate entries until their variants reach the target, build once.
+
+    With no stop-names and no bracket phrases, the built variant set is
+    exactly the union of the names' skip-gram variants, so generation
+    counts that union instead of building the gazetteer to measure it.
+    """
+    rng = random.Random(seed)
+    categories = set(_GENERIC)
+    entries: list[GazetteerEntry] = []
+    variants: set[str] = set()
+    while len(variants) < variant_target:
         tokens = rng.sample(_SPECIFIC, rng.randint(1, 3))
         if rng.random() < 0.8:
             tokens.append(rng.choice(_GENERIC))
-        name = " ".join(t.capitalize() for t in tokens)
         entries.append(GazetteerEntry(
-            id=f"bench:{index}", canonical_name=name, source="generic"))
-        m = len(tokens)
-        estimate += 2 ** max(0, m - 2) if m > 2 else 1
-    return entries
-
-
-def synthetic_gazetteer(variant_target: int, seed: int):
-    """Generate entries until the built gazetteer reaches the target.
-
-    Skip-gram collisions shrink the variant count below the naive
-    estimate, so generation tops itself up against real builds.
-    """
-    rng = random.Random(seed)
-    entries = _generate_entries(rng, [], variant_target)
-    for _ in range(20):
-        gazetteer = build_gazetteer(entries, stopname_list=(), phrase_list=(),
-                                    category_words=set(_GENERIC))
-        shortfall = variant_target - len(gazetteer.variants)
-        if shortfall <= 0:
-            break
-        _generate_entries(rng, entries, shortfall * 2)
+            id=f"bench:{len(entries)}",
+            canonical_name=" ".join(t.capitalize() for t in tokens),
+            source="generic"))
+        variants |= skipgram_variants(tokens, categories)
+    gazetteer = build_gazetteer(entries, stopname_list=(), phrase_list=(),
+                                category_words=categories)
     return entries, gazetteer
 
 

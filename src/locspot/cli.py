@@ -197,10 +197,16 @@ def _read_predictions(path) -> dict:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: bad JSON: {exc}") from None
-            if record.get("error"):
-                continue
-            spans = [(m["char_start"], m["char_end"])
-                     for m in record.get("mentions", [])]
+            try:
+                if record.get("error"):
+                    continue
+                spans = [(m["char_start"], m["char_end"])
+                         for m in record.get("mentions", [])]
+                if not all(isinstance(i, int) for span in spans for i in span):
+                    raise TypeError("char_start and char_end must be integers")
+            except (AttributeError, KeyError, TypeError) as exc:
+                raise DataError(
+                    f"{path}:{lineno}: malformed prediction: {exc!r}") from None
             by_doc[str(record.get("id"))] = spans
     return by_doc
 

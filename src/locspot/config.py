@@ -15,7 +15,9 @@ A config file is a JSON object:
 
 Relative gazetteer and asset paths resolve against the config file's
 directory. Unlisted assets fall back to the packaged data files (or the
-LOCSPOT_DATA directory when that environment variable is set).
+LOCSPOT_DATA directory when that environment variable is set). A value
+of the wrong shape or type, or a max_edit_distance or workers below 1,
+raises ConfigError.
 """
 
 from __future__ import annotations
@@ -79,39 +81,51 @@ class PipelineConfig:
         base = path.parent
         config = cls()
 
-        for spec in raw.get("gazetteers", []):
+        specs = raw.get("gazetteers", [])
+        if not isinstance(specs, list) or not all(
+                isinstance(spec, dict) for spec in specs):
+            raise ConfigError("gazetteers must be a list of "
+                              '{"path": ..., "format": ...} objects')
+        for spec in specs:
             fmt = spec.get("format")
             if fmt not in FORMATS:
                 raise ConfigError(f"unknown gazetteer format: {fmt!r}")
-            source = base / spec.get("path", "")
+            source = base / _relative_path(spec.get("path", ""), "gazetteer")
             if not source.exists():
                 raise ConfigError(f"gazetteer file does not exist: {source}")
             config.gazetteers.append(GazetteerSource(source, fmt))
 
         bbox = raw.get("bbox")
         if bbox is not None:
-            if len(bbox) != 4:
-                raise ConfigError("bbox must be [south, west, north, east]")
-            south, west, north, east = map(float, bbox)
+            try:
+                south, west, north, east = map(float, bbox)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    "bbox must be [south, west, north, east]") from None
             if not (south < north and west < east):
                 raise ConfigError(f"bbox is not well-ordered: {bbox}")
             config.bbox = (south, west, north, east)
 
-        for key, value in (raw.get("assets") or {}).items():
+        asset_specs = raw.get("assets") or {}
+        if not isinstance(asset_specs, dict):
+            raise ConfigError("assets must be an object of asset key: path")
+        for key, value in asset_specs.items():
             if key not in ASSET_KEYS:
                 raise ConfigError(f"unknown asset key: {key!r}")
-            asset = base / value
+            asset = base / _relative_path(value, f"asset {key!r}")
             if not asset.exists():
                 raise ConfigError(f"asset file does not exist: {asset}")
             config.asset_paths[key] = asset
 
         config.spelling_correction = bool(raw.get("spelling_correction", False))
-        config.max_edit_distance = int(raw.get("max_edit_distance", 2))
-        config.partial_tp_credit = float(raw.get("partial_tp_credit", 0.0))
+        config.max_edit_distance = _number(raw, "max_edit_distance", int, 2)
+        if config.max_edit_distance < 1:
+            raise ConfigError("max_edit_distance must be a positive integer")
+        config.partial_tp_credit = _number(raw, "partial_tp_credit", float, 0.0)
         config.eval_mode = raw.get("eval_mode", "standard")
         if config.eval_mode not in MODES:
             raise ConfigError(f"unknown eval_mode: {config.eval_mode!r}")
-        config.workers = int(raw.get("workers", 1))
+        config.workers = _number(raw, "workers", int, 1)
         if config.workers < 1:
             raise ConfigError("workers must be a positive integer")
         return config
@@ -121,3 +135,17 @@ class PipelineConfig:
         if key in self.asset_paths:
             return self.asset_paths[key]
         return assets.data_path(_ASSET_DEFAULTS[key])
+
+
+def _relative_path(value, what) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} path must be a string, got {value!r}")
+    return value
+
+
+def _number(raw: dict, key: str, kind, default):
+    value = raw.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None

@@ -262,10 +262,9 @@ class LocationExtractor:
         self.segmenter = config.segmenter.merge_words(model.vocabulary)
         self.corrector = None
         if config.spelling_correction:
-            vocabulary = {w: 1 for w in config.spelling_words | model.vocabulary}
-            for word, p in self.segmenter.word_probabilities.items():
-                if word in vocabulary:
-                    vocabulary[word] = max(1, int(p * self.segmenter.total_mass))
+            counts = self.segmenter.counts
+            vocabulary = {w: max(1, counts.get(w, 1))
+                          for w in config.spelling_words | model.vocabulary}
             self.corrector = SymmetricDeleteCorrector(
                 vocabulary, config.max_edit_distance)
         # any token missing here has the vector (token,)

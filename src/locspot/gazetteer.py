@@ -187,7 +187,14 @@ def filter_entry(name: str, phrase_list) -> list[tuple[str, str]]:
     hyphen_split surfaces. Surfaces are case-folded and whitespace
     normalized. Degenerate names come back unchanged.
     """
-    phrases = {normalize_surface(p).strip("()").strip() for p in phrase_list}
+    return _filter_entry(name, _phrase_set(phrase_list))
+
+
+def _phrase_set(phrase_list) -> set[str]:
+    return {normalize_surface(p).strip("()").strip() for p in phrase_list}
+
+
+def _filter_entry(name: str, phrases: set[str]) -> list[tuple[str, str]]:
     results: list[tuple[str, str]] = []
 
     alternatives = []
@@ -264,8 +271,9 @@ def build_gazetteer(entries, stopname_list, phrase_list, category_words) -> Gaze
             raise GazetteerFormatError(f"duplicate entry id: {entry.id!r}")
         entry_index[entry.id] = entry
 
+    phrases = _phrase_set(phrase_list)
     filtered = {
-        entry.id: filter_entry(entry.canonical_name, phrase_list)
+        entry.id: _filter_entry(entry.canonical_name, phrases)
         for entry in entry_index.values()
     }
 

@@ -25,7 +25,7 @@ class SegmenterDictionary:
         self.word_probabilities = {
             w: c / self.total_mass for w, c in counts.items()
         }
-        self._counts = dict(counts)
+        self.counts = dict(counts)
         self._segment_cached = lru_cache(maxsize=65536)(self._segment)
 
     @classmethod
@@ -39,9 +39,9 @@ class SegmenterDictionary:
         rank-th most frequent word (or of the rarest word when the
         table is shorter than that).
         """
-        ranked = sorted(self._counts.values(), reverse=True)
+        ranked = sorted(self.counts.values(), reverse=True)
         default = ranked[min(rank, len(ranked)) - 1]
-        counts = dict(self._counts)
+        counts = dict(self.counts)
         for w in words:
             w = w.lower()
             if w and w not in counts:

@@ -1,14 +1,18 @@
 """Tweet cleaning, tokenization, and stop-word splitting.
 
-Cleaning masks retweet markers, URLs, user mentions, and non-ASCII
-characters, then collapses whitespace and case-folds. An offset map
-carries every cleaned position back to its raw position so extracted
-mentions can report spans into the original text.
+Cleaning is blank-then-scan: non-ASCII and whitespace characters,
+URLs, user mentions and retweet markers become spaces in place, so
+every character keeps its raw index; one scan over the remaining words
+then emits the case-folded text and an offset map from cleaned
+positions back to raw ones, for mention spans into the original text.
+URLs, mentions and retweet markers are matched on the raw text, each
+pattern on its own: a non-ASCII word character still extends a span
+before it is blanked, and overlapping matches are all blanked.
 
-Tokenization is whitespace-driven. Hashtags and emoticons stay single
-tokens, acronyms like "u.s." keep their periods, and other punctuation
-adjacent to (or sandwiched between) words is detached into separate
-tokens.
+Tokenization scans the same space-separated words. Hashtags and
+emoticons stay single tokens, acronyms like "u.s." keep their periods,
+and other punctuation adjacent to (or sandwiched between) words is
+detached into separate tokens.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from dataclasses import dataclass, field
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
 _RT_RE = re.compile(r"\bRT\b")  # uppercase retweet marker only
+_BLANK_RE = re.compile(r"[^\x00-\x7f]|\s")  # \s is exactly str.isspace()
+_WORD_RE = re.compile(r"[^ ]+")
 
 _HASHTAG_RE = re.compile(r"#\w+")
 _ACRONYM_RE = re.compile(r"^(?:[a-z]\.)+[a-z]?$")
@@ -70,48 +76,31 @@ def clean_tweet(raw: str) -> tuple[str, list[int]]:
     """Strip retweet markers, URLs, mentions, and non-ASCII; case-fold.
 
     Returns the cleaned text and an offset map where map[i] is the raw
-    index of cleaned character i. Removals never reorder text, so the
-    map is strictly increasing.
+    index of cleaned character i. Everything removed is first blanked
+    in place (spans matched on the raw text), then one scan over the
+    words joins them; a separator maps to the blank before its word, so
+    the map is strictly increasing.
     """
-    masked = list(raw)
+    masked = _BLANK_RE.sub(" ", raw)
     for regex in (_URL_RE, _MENTION_RE, _RT_RE):
         for m in regex.finditer(raw):
-            for i in range(m.start(), m.end()):
-                masked[i] = " "
-    for i, ch in enumerate(masked):
-        if ord(ch) > 127 or (ch != " " and ch.isspace()):
-            masked[i] = " "
-
-    cleaned_chars: list[str] = []
+            start, end = m.span()
+            masked = masked[:start] + " " * (end - start) + masked[end:]
+    words: list[str] = []
     offset_map: list[int] = []
-    pending_space = False
-    for i, ch in enumerate(masked):
-        if ch == " ":
-            pending_space = bool(cleaned_chars)
-            continue
-        if pending_space:
-            cleaned_chars.append(" ")
-            offset_map.append(i - 1)
-            pending_space = False
-        cleaned_chars.append(ch.lower())
-        offset_map.append(i)
-    return "".join(cleaned_chars), offset_map
+    for m in _WORD_RE.finditer(masked.lower()):
+        if words:
+            offset_map.append(m.start() - 1)
+        words.append(m.group())
+        offset_map.extend(range(m.start(), m.end()))
+    return " ".join(words), offset_map
 
 
 def tokenize(cleaned: str) -> list[Token]:
     """Tokenize cleaned text, offsets relative to the given string."""
     tokens: list[Token] = []
-    pos = 0
-    length = len(cleaned)
-    while pos < length:
-        if cleaned[pos] == " ":
-            pos += 1
-            continue
-        end = cleaned.find(" ", pos)
-        if end == -1:
-            end = length
-        _split_chunk(cleaned[pos:end], pos, tokens)
-        pos = end
+    for m in _WORD_RE.finditer(cleaned):
+        _split_chunk(m.group(), m.start(), tokens)
     return tokens
 
 
@@ -193,32 +182,26 @@ def prepare_tweet(raw, stopwords, segmenter=None, corrector=None) -> TweetDocume
     stream on stop words.
     """
     cleaned, offset_map = clean_tweet(raw)
-    tokens = []
-    for t in tokenize(cleaned):
-        raw_start = offset_map[t.start]
-        raw_end = offset_map[t.end - 1] + 1
-        tokens.append(Token(t.surface, raw_start, raw_end))
-
-    expansions: dict[int, list[Token]] = {}
-    if segmenter is not None:
-        for index, token in enumerate(tokens):
-            if token.surface.startswith("#") and len(token.surface) > 1:
-                words = segmenter.segment(token.surface[1:])
-                expansions[index] = [
-                    Token(w, token.start, token.end, from_hashtag=True)
-                    for w in words
-                ]
-
+    tokens: list[Token] = []
     stream: list[Token] = []
-    for index, token in enumerate(tokens):
-        if index in expansions:
-            stream.extend(expansions[index])
-        elif (corrector is not None and not token.is_punctuation()
-                and not token.surface.startswith("#")):
-            stream.append(Token(corrector.correct(token.surface),
+    expansions: dict[int, list[Token]] = {}
+    for t in tokenize(cleaned):
+        start = offset_map[t.start]  # a token never spans a separator
+        token = Token(t.surface, start, start + len(t.surface))
+        if t.surface.startswith("#"):
+            if segmenter is not None and len(t.surface) > 1:
+                expansions[len(tokens)] = [
+                    Token(w, token.start, token.end, from_hashtag=True)
+                    for w in segmenter.segment(t.surface[1:])]
+                stream.extend(expansions[len(tokens)])
+            else:
+                stream.append(token)
+        elif corrector is not None and not token.is_punctuation():
+            stream.append(Token(corrector.correct(t.surface),
                                 token.start, token.end))
         else:
             stream.append(token)
+        tokens.append(token)
 
     splits = split_on_stopwords(stream, stopwords)
     return TweetDocument(raw=raw, cleaned=cleaned, tokens=tokens,

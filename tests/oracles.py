@@ -7,6 +7,9 @@ exhaustive enumeration) without touching the code paths under test.
 import itertools
 import random
 
+from locspot import textprep
+from locspot.textprep import Token
+
 
 def brute_force_probability(surfaces, tokens):
     """Chain probability recomputed by rescanning the surface list.
@@ -118,3 +121,88 @@ def random_tweet(rng, gazetteer, max_tokens=15):
         else:
             words.append(rng.choice(noise))
     return " ".join(words)
+
+
+def reference_clean_tweet(raw):
+    """Per-character cleaning: mask, blank, then collapse space runs.
+
+    Masks every URL, mention and retweet span of the raw text, blanks
+    non-ASCII and whitespace one character at a time, and copies the
+    rest across while tracking each character's raw index.
+    """
+    masked = list(raw)
+    for regex in (textprep._URL_RE, textprep._MENTION_RE, textprep._RT_RE):
+        for m in regex.finditer(raw):
+            for i in range(m.start(), m.end()):
+                masked[i] = " "
+    for i, ch in enumerate(masked):
+        if ord(ch) > 127 or (ch != " " and ch.isspace()):
+            masked[i] = " "
+
+    cleaned_chars = []
+    offset_map = []
+    pending_space = False
+    for i, ch in enumerate(masked):
+        if ch == " ":
+            pending_space = bool(cleaned_chars)
+            continue
+        if pending_space:
+            cleaned_chars.append(" ")
+            offset_map.append(i - 1)
+            pending_space = False
+        cleaned_chars.append(ch.lower())
+        offset_map.append(i)
+    return "".join(cleaned_chars), offset_map
+
+
+def reference_prepare_tweet(raw, stopwords, segmenter=None, corrector=None):
+    """Tokens and splits of a tweet, one stage after the other.
+
+    Cleans with reference_clean_tweet, cuts space-separated chunks by
+    hand (each still split by the library's chunk splitter), maps both
+    ends of every token through the offset map, segments all hashtags,
+    then corrects spelling in a second pass.
+    """
+    cleaned, offset_map = reference_clean_tweet(raw)
+    local = []
+    pos = 0
+    while pos < len(cleaned):
+        if cleaned[pos] == " ":
+            pos += 1
+            continue
+        end = cleaned.find(" ", pos)
+        end = len(cleaned) if end == -1 else end
+        textprep._split_chunk(cleaned[pos:end], pos, local)
+        pos = end
+    tokens = [Token(t.surface, offset_map[t.start], offset_map[t.end - 1] + 1)
+              for t in local]
+
+    expansions = {}
+    if segmenter is not None:
+        for index, token in enumerate(tokens):
+            if token.surface.startswith("#") and len(token.surface) > 1:
+                expansions[index] = [
+                    Token(w, token.start, token.end, from_hashtag=True)
+                    for w in segmenter.segment(token.surface[1:])]
+    stream = []
+    for index, token in enumerate(tokens):
+        if index in expansions:
+            stream.extend(expansions[index])
+        elif (corrector is not None and not token.is_punctuation()
+                and not token.surface.startswith("#")):
+            stream.append(Token(corrector.correct(token.surface),
+                                token.start, token.end))
+        else:
+            stream.append(token)
+
+    splits, current = [], []
+    for token in stream:
+        if token.surface in stopwords:
+            if current:
+                splits.append(current)
+            current = []
+        else:
+            current.append(token)
+    if current:
+        splits.append(current)
+    return tokens, splits

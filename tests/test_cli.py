@@ -173,6 +173,23 @@ def test_extract_wrong_shape_cache_is_data_error(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("body", [
+    {"gazetteers": ["x.json"]},
+    {"bbox": 5},
+    {"max_edit_distance": "two"},
+    {"workers": "two"},
+    {"partial_tp_credit": "half"},
+    {"max_edit_distance": 0, "spelling_correction": True},
+])
+def test_extract_malformed_config_is_config_error(cache_path, tmp_path, body):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(body))
+    result = run_cli("--config", str(config), "--model-cache",
+                     str(cache_path), "extract", stdin="")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+
+
 # --------------------------------------------------------------- evaluate
 
 GOLD_DOCS = {
@@ -285,6 +302,23 @@ def test_evaluate_strict_mode_counts_ambloc(predictions_path, gold_dir,
     assert strict["documents"]["t3"]["fp"] == 1
     assert (strict["aggregate"]["precision"]
             <= standard["aggregate"]["precision"])
+
+
+@pytest.mark.parametrize("line", [
+    "[1, 2]",
+    '{"id": "t1", "mentions": [{"char_start": 0}]}',
+    '{"id": "t1", "mentions": [{"char_start": "0", "char_end": 3}]}',
+    '{"id": "t1", "mentions": 5}',
+], ids=["array", "no_char_end", "string_offset", "mentions_not_list"])
+def test_evaluate_malformed_prediction_is_data_error(gold_dir, tmp_path,
+                                                     line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "t2", "mentions": []}\n' + line + "\n",
+                    encoding="utf-8")
+    result = run_cli("evaluate", str(path), str(gold_dir))
+    assert result.returncode == 2
+    assert f"{path}:2:" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 # ------------------------------------------------------------------ bench

@@ -80,3 +80,24 @@ def test_not_json_rejected(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(ConfigError):
         PipelineConfig.load(path)
+
+
+@pytest.mark.parametrize("body", [
+    {"gazetteers": ["x.json"]},
+    {"gazetteers": {"path": "x.json"}},
+    {"gazetteers": [{"path": 3, "format": "generic_json"}]},
+    {"bbox": 5},
+    {"bbox": [12.8, 80.0, "north", 80.4]},
+    {"bbox": [12.8, 80.0, 13.3]},
+    {"assets": ["tweet_stopwords"]},
+    {"assets": {"tweet_stopwords": 3}},
+    {"max_edit_distance": "two"},
+    {"max_edit_distance": 0, "spelling_correction": True},
+    {"workers": "many"},
+    {"workers": None},
+    {"partial_tp_credit": "half"},
+    {"partial_tp_credit": [0.5]},
+])
+def test_malformed_values_rejected(tmp_path, body):
+    with pytest.raises(ConfigError):
+        PipelineConfig.load(write_config(tmp_path, body))

@@ -2,8 +2,10 @@ import random
 
 from locspot import (
     AbbreviationDictionary,
+    ExtractionConfig,
     ExtractionStats,
     LocationExtractor,
+    SegmenterDictionary,
     compute_model,
     expand_token,
     extract,
@@ -255,6 +257,21 @@ def test_spelling_correction_recovers_typo(mini_model, mini_gazetteer,
     assert [m.matched_name for m in mentions] == ["houston"]
     # offsets still point at the misspelled original
     assert raw[mentions[0].char_start:mentions[0].char_end] == "houstonn"
+
+
+def test_spelling_ranks_by_true_segmenter_counts():
+    config = ExtractionConfig(
+        suffix_dict=AbbreviationDictionary({}),
+        osm_abbrev_dict=AbbreviationDictionary({}),
+        stopwords=frozenset(),
+        segmenter=SegmenterDictionary({"aab": 13, "aac": 14, "zzz": 12345}),
+        spelling_words=frozenset({"aab", "aac"}),
+        spelling_correction=True,
+    )
+    gazetteer = build_from_names([("h", "Houston")])
+    pipeline = LocationExtractor(compute_model(gazetteer), gazetteer, config)
+    # both are one edit away; aac is the more frequent word
+    assert pipeline.corrector.correct("aax") == "aac"
 
 
 def test_spelling_off_by_default(mini_extractor):

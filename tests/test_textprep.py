@@ -1,7 +1,10 @@
 import random
 
 from locspot import clean_tweet, prepare_tweet, split_on_stopwords, tokenize
+from locspot.spelling import SymmetricDeleteCorrector
 from locspot.textprep import Token
+
+from oracles import reference_clean_tweet, reference_prepare_tweet
 
 
 # ---------------------------------------------------------------- cleaning
@@ -48,6 +51,42 @@ def test_clean_offsets_realign_tokens():
             raw_start = offset_map[token.start]
             raw_end = offset_map[token.end - 1] + 1
             assert raw[raw_start:raw_end].lower() == token.surface
+
+
+# URL, mention and retweet pieces, every whitespace and control class the
+# cleaner treats differently, non-ASCII letters (İ lower-cases to two
+# characters) and the token shapes the tokenizer keeps whole
+_FUZZ_PIECES = [
+    "http://", "https://t.co/", "www.", "HTTP://x", ".com", "/", "@", "@user",
+    "@foowww.x.com", "RT", "rt", "xRT", "#", "#chennai", "#RT", ":)", ":-(",
+    "<3", "^_^", "xD", "u.s.", "U.S.", "2.5", "1,000", ".", ",", "!!", "-",
+    "(", ")", "'", "a", "Adyar", "new", "iberia", "the", "in", "floood",
+    " ", "  ", "\t", "\n", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+    "\x00", "\x7f", "é", "…", "İ", "_", "😀",
+]
+
+
+def _fuzz_strings(seed, how_many):
+    rng = random.Random(seed)
+    return ["".join(rng.choice(_FUZZ_PIECES)
+                    for _ in range(rng.randint(0, 16)))
+            for _ in range(how_many)]
+
+
+def test_clean_matches_per_character_oracle():
+    for raw in _fuzz_strings(11, 5000):
+        assert clean_tweet(raw) == reference_clean_tweet(raw), repr(raw)
+
+
+def test_clean_blanks_overlapping_mention_and_url():
+    # the mention ends inside the URL; both spans are blanked
+    assert clean_tweet("hi @foowww.x.com there")[0] == "hi there"
+
+
+def test_clean_keeps_non_whitespace_controls():
+    cleaned, offset_map = clean_tweet("a\x00b \x1fc\x7f")
+    assert cleaned == "a\x00b c\x7f"
+    assert offset_map == [0, 1, 2, 4, 5, 6]
 
 
 # ------------------------------------------------------------- tokenizing
@@ -158,6 +197,19 @@ def test_prepare_tweet_document(mini_extractor):
     for fragment in doc.splits:
         for token in fragment:
             assert token.surface not in mini_extractor.stopwords
+
+
+def test_prepare_matches_staged_oracle(mini_extractor):
+    corrector = SymmetricDeleteCorrector({"flood", "adyar", "iberia", "new"})
+    stages = [(mini_extractor.segmenter, None),
+              (mini_extractor.segmenter, corrector), (None, corrector)]
+    for raw in _fuzz_strings(12, 5000):
+        for segmenter, speller in stages:
+            doc = prepare_tweet(raw, mini_extractor.stopwords, segmenter,
+                                speller)
+            tokens, splits = reference_prepare_tweet(
+                raw, mini_extractor.stopwords, segmenter, speller)
+            assert (doc.tokens, doc.splits) == (tokens, splits), repr(raw)
 
 
 def test_prepare_is_deterministic(mini_extractor):
