@@ -4,6 +4,11 @@ Raw place-name records are loaded from files, cleaned of auxiliary
 content (bracketed tags, spaced hyphens), expanded with skip-gram name
 variants, and indexed into a surface -> variant mapping that the
 language model is compiled from.
+
+The index is built in one pass: a hyphen split that is also some
+entry's original name is dropped with its skip-grams, every other
+surface merges in (entry ids unioned, lowest kind rank kept, so entry
+order does not matter), and stop-names are never inserted.
 """
 
 from __future__ import annotations
@@ -195,8 +200,6 @@ def _phrase_set(phrase_list) -> set[str]:
 
 
 def _filter_entry(name: str, phrases: set[str]) -> list[tuple[str, str]]:
-    results: list[tuple[str, str]] = []
-
     alternatives = []
     def _strip_bracket(match):
         inner = normalize_surface(match.group(1))
@@ -207,27 +210,18 @@ def _filter_entry(name: str, phrases: set[str]) -> list[tuple[str, str]]:
     primary = normalize_surface(_BRACKET_RE.sub(_strip_bracket, name))
     if not primary:
         primary = normalize_surface(name)
-        if not primary:
-            return []
-        return [(primary, ORIGINAL)]
+        return [(primary, ORIGINAL)] if primary else []
 
-    results.append((primary, ORIGINAL))
-    results.extend((alt, BRACKET_ALTERNATIVE) for alt in alternatives)
-
+    # first kind wins for a surface the name yields more than once
+    kinds = {primary: ORIGINAL}
+    for alt in alternatives:
+        kinds.setdefault(alt, BRACKET_ALTERNATIVE)
     sides = primary.split(" - ")
     if len(sides) == 2:
-        for side in sides:
-            side = side.strip()
+        for side in map(str.strip, sides):
             if side:
-                results.append((side, HYPHEN_SPLIT))
-
-    seen = set()
-    deduped = []
-    for surface, kind in results:
-        if surface not in seen:
-            seen.add(surface)
-            deduped.append((surface, kind))
-    return deduped
+                kinds.setdefault(side, HYPHEN_SPLIT)
+    return list(kinds.items())
 
 
 def skipgram_variants(name_tokens, category_words) -> set[str]:
@@ -254,11 +248,14 @@ def skipgram_variants(name_tokens, category_words) -> set[str]:
 def build_gazetteer(entries, stopname_list, phrase_list, category_words) -> Gazetteer:
     """Filter and augment raw entries into a surface -> variant index.
 
-    Original names take precedence over derived surfaces. Derived
-    surfaces that collide with an existing variant merge their entry
-    ids into it, except hyphen splits that already exist as standalone
-    names, which are dropped. Surfaces on the stop-name list are
-    removed entirely.
+    One pass over the filtered surfaces, after collecting the set of
+    surfaces that some entry has as its original name. A hyphen split in
+    that set is dropped together with its skip-grams. Every other
+    surface is added with its own kind and each of its skip-gram
+    variants as a skipgram; a surface produced more than once merges
+    the entry ids, and the lowest kind rank wins (original, bracket
+    alternative, hyphen split, skipgram). A surface on the stop-name
+    list is never added and is reported in stopnames instead.
     """
     stopnames = {normalize_surface(s) for s in stopname_list}
     categories = frozenset(normalize_surface(c) for c in category_words)
@@ -276,10 +273,16 @@ def build_gazetteer(entries, stopname_list, phrase_list, category_words) -> Gaze
         entry.id: _filter_entry(entry.canonical_name, phrases)
         for entry in entry_index.values()
     }
+    originals = {surface for surfaces in filtered.values()
+                 for surface, kind in surfaces if kind == ORIGINAL}
 
     variants: dict[str, NameVariant] = {}
+    removed: set[str] = set()
 
     def _add(surface, kind, entry_id):
+        if surface in stopnames:
+            removed.add(surface)
+            return
         existing = variants.get(surface)
         if existing is None:
             variants[surface] = NameVariant(surface, kind, {entry_id})
@@ -288,31 +291,14 @@ def build_gazetteer(entries, stopname_list, phrase_list, category_words) -> Gaze
         if _KIND_RANK[kind] < _KIND_RANK[existing.kind]:
             existing.kind = kind
 
-    # originals first so later passes can see standalone names
-    for kind_pass in (ORIGINAL, BRACKET_ALTERNATIVE, HYPHEN_SPLIT):
-        for entry_id, surfaces in filtered.items():
-            for surface, kind in surfaces:
-                if kind != kind_pass:
-                    continue
-                if kind == HYPHEN_SPLIT:
-                    existing = variants.get(surface)
-                    if existing is not None and existing.kind == ORIGINAL:
-                        continue
-                _add(surface, kind, entry_id)
-
     for entry_id, surfaces in filtered.items():
         for surface, kind in surfaces:
-            if kind == HYPHEN_SPLIT:
-                existing = variants.get(surface)
-                if existing is None or entry_id not in existing.entry_ids:
-                    continue  # this split was dropped above
+            if kind == HYPHEN_SPLIT and surface in originals:
+                continue
+            _add(surface, kind, entry_id)
             for variant in skipgram_variants(surface.split(), categories):
                 if variant != surface:
                     _add(variant, SKIPGRAM, entry_id)
-
-    removed = frozenset(surface for surface in variants if surface in stopnames)
-    for surface in removed:
-        del variants[surface]
 
     if not variants:
         log.warning("gazetteer is empty after filtering; extraction will "
@@ -322,5 +308,5 @@ def build_gazetteer(entries, stopname_list, phrase_list, category_words) -> Gaze
         variants=variants,
         entries=entry_index,
         category_words=categories,
-        stopnames=removed,
+        stopnames=frozenset(removed),
     )

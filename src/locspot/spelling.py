@@ -69,7 +69,10 @@ class SymmetricDeleteCorrector:
 
     def candidates(self, token: str) -> set[str]:
         """All vocabulary words within max_edit_distance of the token."""
-        token = token.lower()
+        return set(self._distances(token.lower()))
+
+    def _distances(self, token: str) -> dict[str, int]:
+        """Edit distance of each candidate of a lower-cased token."""
         pool = set()
         if token in self._frequencies:
             pool.add(token)
@@ -78,10 +81,8 @@ class SymmetricDeleteCorrector:
             if shadow in self._frequencies:
                 pool.add(shadow)
             pool.update(self._index.get(shadow, ()))
-        return {
-            w for w in pool
-            if edit_distance(token, w) <= self.max_edit_distance
-        }
+        return {w: d for w in pool
+                if (d := edit_distance(token, w)) <= self.max_edit_distance}
 
     def correct(self, token: str) -> str:
         """Best correction for an out-of-vocabulary token.
@@ -92,12 +93,12 @@ class SymmetricDeleteCorrector:
         lowered = token.lower()
         if lowered in self._frequencies or not lowered.isalpha():
             return token
-        pool = self.candidates(lowered)
-        if not pool:
+        distances = self._distances(lowered)
+        if not distances:
             return token
         return min(
-            pool,
-            key=lambda w: (edit_distance(lowered, w), -self._frequencies[w], w),
+            distances,
+            key=lambda w: (distances[w], -self._frequencies[w], w),
         )
 
 

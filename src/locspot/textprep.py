@@ -82,10 +82,15 @@ def clean_tweet(raw: str) -> tuple[str, list[int]]:
     the map is strictly increasing.
     """
     masked = _BLANK_RE.sub(" ", raw)
+    buffer = None  # blanked in place, so many spans cost linear time
     for regex in (_URL_RE, _MENTION_RE, _RT_RE):
         for m in regex.finditer(raw):
+            if buffer is None:
+                buffer = bytearray(masked, "ascii")  # all ASCII by now
             start, end = m.span()
-            masked = masked[:start] + " " * (end - start) + masked[end:]
+            buffer[start:end] = b" " * (end - start)
+    if buffer is not None:
+        masked = buffer.decode("ascii")
     words: list[str] = []
     offset_map: list[int] = []
     for m in _WORD_RE.finditer(masked.lower()):
@@ -105,16 +110,19 @@ def tokenize(cleaned: str) -> list[Token]:
 
 
 def _split_chunk(chunk: str, base: int, out: list[Token]):
+    # a leading chain of hashtags ("#a#b") is peeled off in one loop;
+    # no emoticon starts with "#", so what follows is split on its own
+    pos = 0
+    while m := _HASHTAG_RE.match(chunk, pos):
+        out.append(Token(m.group(), base + pos, base + m.end()))
+        pos = m.end()
+    if pos == len(chunk):
+        return
+    chunk, base = chunk[pos:], base + pos
+
     if _EMOTICON_RE.match(chunk):
         out.append(Token(chunk, base, base + len(chunk)))
         return
-    if chunk.startswith("#"):
-        m = _HASHTAG_RE.match(chunk)
-        if m and m.end() > 1:
-            out.append(Token(chunk[: m.end()], base, base + m.end()))
-            if m.end() < len(chunk):
-                _split_chunk(chunk[m.end():], base + m.end(), out)
-            return
 
     lead = 0
     while lead < len(chunk) and chunk[lead] in _PUNCT:

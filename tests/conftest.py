@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from locspot import (
@@ -14,6 +17,13 @@ from locspot.assets import (
     data_path,
     read_word_list,
 )
+
+# child processes (`python -m locspot`, the demos) import the package
+# from this checkout too, as pytest's `pythonpath` setting does here
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parent.parent / "src"),
+    os.environ.get("PYTHONPATH"),
+]))
 
 # Table-5 style mini gazetteer: the five names the golden tweets need
 # plus distractors exercising hyphen splits, brackets, and skip-grams.

@@ -5,10 +5,28 @@ exhaustive enumeration) without touching the code paths under test.
 """
 
 import itertools
+import logging
 import random
 
 from locspot import textprep
+from locspot.errors import GazetteerFormatError
+from locspot.gazetteer import (
+    _BRACKET_RE,
+    _KIND_RANK,
+    BRACKET_ALTERNATIVE,
+    HYPHEN_SPLIT,
+    ORIGINAL,
+    SKIPGRAM,
+    Gazetteer,
+    GazetteerEntry,
+    NameVariant,
+    _phrase_set,
+    normalize_surface,
+    skipgram_variants,
+)
 from locspot.textprep import Token
+
+log = logging.getLogger("locspot.gazetteer")
 
 
 def brute_force_probability(surfaces, tokens):
@@ -206,3 +224,122 @@ def reference_prepare_tweet(raw, stopwords, segmenter=None, corrector=None):
     if current:
         splits.append(current)
     return tokens, splits
+
+
+# The former gazetteer._filter_entry and build_gazetteer, copied verbatim
+# so that the one-pass build is checked against code it does not share.
+def _filter_entry(name: str, phrases: set[str]) -> list[tuple[str, str]]:
+    results: list[tuple[str, str]] = []
+
+    alternatives = []
+    def _strip_bracket(match):
+        inner = normalize_surface(match.group(1))
+        if inner and inner not in phrases:
+            alternatives.append(inner)
+        return " "
+
+    primary = normalize_surface(_BRACKET_RE.sub(_strip_bracket, name))
+    if not primary:
+        primary = normalize_surface(name)
+        if not primary:
+            return []
+        return [(primary, ORIGINAL)]
+
+    results.append((primary, ORIGINAL))
+    results.extend((alt, BRACKET_ALTERNATIVE) for alt in alternatives)
+
+    sides = primary.split(" - ")
+    if len(sides) == 2:
+        for side in sides:
+            side = side.strip()
+            if side:
+                results.append((side, HYPHEN_SPLIT))
+
+    seen = set()
+    deduped = []
+    for surface, kind in results:
+        if surface not in seen:
+            seen.add(surface)
+            deduped.append((surface, kind))
+    return deduped
+
+
+def reference_build_gazetteer(entries, stopname_list, phrase_list, category_words) -> Gazetteer:
+    """The former four-pass build_gazetteer, copied verbatim.
+
+    It adds originals, bracket alternatives and hyphen splits in one
+    pass each, works out again which splits were dropped for the
+    skip-gram pass, and sweeps out stop-names at the end.
+
+    Filter and augment raw entries into a surface -> variant index.
+
+    Original names take precedence over derived surfaces. Derived
+    surfaces that collide with an existing variant merge their entry
+    ids into it, except hyphen splits that already exist as standalone
+    names, which are dropped. Surfaces on the stop-name list are
+    removed entirely.
+    """
+    stopnames = {normalize_surface(s) for s in stopname_list}
+    categories = frozenset(normalize_surface(c) for c in category_words)
+
+    entry_index: dict[str, GazetteerEntry] = {}
+    for entry in entries:
+        if not entry.canonical_name.strip():
+            raise GazetteerFormatError(f"entry {entry.id!r} has an empty name")
+        if entry.id in entry_index:
+            raise GazetteerFormatError(f"duplicate entry id: {entry.id!r}")
+        entry_index[entry.id] = entry
+
+    phrases = _phrase_set(phrase_list)
+    filtered = {
+        entry.id: _filter_entry(entry.canonical_name, phrases)
+        for entry in entry_index.values()
+    }
+
+    variants: dict[str, NameVariant] = {}
+
+    def _add(surface, kind, entry_id):
+        existing = variants.get(surface)
+        if existing is None:
+            variants[surface] = NameVariant(surface, kind, {entry_id})
+            return
+        existing.entry_ids.add(entry_id)
+        if _KIND_RANK[kind] < _KIND_RANK[existing.kind]:
+            existing.kind = kind
+
+    # originals first so later passes can see standalone names
+    for kind_pass in (ORIGINAL, BRACKET_ALTERNATIVE, HYPHEN_SPLIT):
+        for entry_id, surfaces in filtered.items():
+            for surface, kind in surfaces:
+                if kind != kind_pass:
+                    continue
+                if kind == HYPHEN_SPLIT:
+                    existing = variants.get(surface)
+                    if existing is not None and existing.kind == ORIGINAL:
+                        continue
+                _add(surface, kind, entry_id)
+
+    for entry_id, surfaces in filtered.items():
+        for surface, kind in surfaces:
+            if kind == HYPHEN_SPLIT:
+                existing = variants.get(surface)
+                if existing is None or entry_id not in existing.entry_ids:
+                    continue  # this split was dropped above
+            for variant in skipgram_variants(surface.split(), categories):
+                if variant != surface:
+                    _add(variant, SKIPGRAM, entry_id)
+
+    removed = frozenset(surface for surface in variants if surface in stopnames)
+    for surface in removed:
+        del variants[surface]
+
+    if not variants:
+        log.warning("gazetteer is empty after filtering; extraction will "
+                    "find nothing")
+
+    return Gazetteer(
+        variants=variants,
+        entries=entry_index,
+        category_words=categories,
+        stopnames=removed,
+    )

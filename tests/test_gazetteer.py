@@ -18,6 +18,7 @@ from locspot.gazetteer import (
 )
 
 from conftest import build_from_names, shipped_dictionaries
+from oracles import reference_build_gazetteer
 
 
 # ---------------------------------------------------------------- loading
@@ -282,3 +283,47 @@ def test_variant_invariants(mini_gazetteer):
         assert variant.entry_ids
         for entry_id in variant.entry_ids:
             assert entry_id in mini_gazetteer.entries
+
+
+# a few words so that names, hyphen sides, bracket contents and
+# skip-grams collide often; some stop-names have skip-grams of their own
+_DIFF_WORDS = ["a", "b", "c", "d", "road", "school", "park"]
+_DIFF_LISTS = {
+    "stopname_list": ["park", "b school", "Tiny  C", "a c road",
+                      "b a school", "c d park"],
+    "phrase_list": ["closed", "(B Road)"],
+    "category_words": ["road", "School", "park"],
+}
+
+
+def _random_diff_name(rng):
+    parts = [rng.choice(_DIFF_WORDS) for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.4:
+        parts.insert(rng.randint(0, len(parts)), rng.choice(["-", "-", "--"]))
+    if rng.random() < 0.3:
+        inner = rng.choice(["closed", "b road", "", "a b road", "c", "-"]
+                           + parts)
+        parts.insert(rng.randint(0, len(parts)), f"({inner})")
+    name = rng.choice([" ", "  ", "\t"]).join(parts)
+    return name.title() if rng.random() < 0.5 else name
+
+
+def _variant_table(gazetteer):
+    return {surface: (v.kind, v.entry_ids)
+            for surface, v in gazetteer.variants.items()}
+
+
+def test_build_matches_four_pass_reference():
+    rng = random.Random(4)
+    for _ in range(10000):
+        entries = [GazetteerEntry(f"e{i}", _random_diff_name(rng))
+                   for i in range(rng.randint(1, 8))]
+        if rng.random() < 0.5:  # named as another entry or one side of it
+            other = rng.choice(entries).canonical_name
+            entries.append(GazetteerEntry(
+                "shared", rng.choice(other.split("-")).strip() or other))
+        got = build_gazetteer(entries, **_DIFF_LISTS)
+        want = reference_build_gazetteer(entries, **_DIFF_LISTS)
+        names = [e.canonical_name for e in entries]
+        assert _variant_table(got) == _variant_table(want), names
+        assert got.stopnames == want.stopnames, names

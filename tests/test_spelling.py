@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 
-from locspot import SymmetricDeleteCorrector, correct_spelling
+from locspot import SymmetricDeleteCorrector, correct_spelling, spelling
 
 from oracles import levenshtein_damerau
 
@@ -79,3 +80,20 @@ def test_exhaustive_enumeration_oracle():
         if token not in VOCABULARY and token.isalpha():
             assert corrector.correct(token) == oracle_best(
                 token, VOCABULARY, 2), token
+
+
+def test_correct_measures_each_candidate_once(monkeypatch):
+    corrector = SymmetricDeleteCorrector(VOCABULARY, max_edit_distance=2)
+    measured = Counter()
+    distance = spelling.edit_distance
+
+    def counting(a, b):
+        measured[a, b] += 1
+        return distance(a, b)
+
+    monkeypatch.setattr(spelling, "edit_distance", counting)
+    for token in ("chennnai", "flod", "stret", "cheek", "roda"):
+        measured.clear()
+        best = corrector.correct(token)
+        assert best == oracle_best(token, VOCABULARY, 2)
+        assert measured and max(measured.values()) == 1, token

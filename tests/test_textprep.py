@@ -1,4 +1,5 @@
 import random
+import time
 
 from locspot import clean_tweet, prepare_tweet, split_on_stopwords, tokenize
 from locspot.spelling import SymmetricDeleteCorrector
@@ -89,6 +90,13 @@ def test_clean_keeps_non_whitespace_controls():
     assert offset_map == [0, 1, 2, 4, 5, 6]
 
 
+def test_clean_many_mentions_in_linear_time():
+    raw = "@a " * 350_000  # about 1 MB, every word a mention
+    started = time.perf_counter()
+    assert clean_tweet(raw) == ("", [])
+    assert time.perf_counter() - started < 5
+
+
 # ------------------------------------------------------------- tokenizing
 
 def test_tokenize_table5_louisiana_fragment():
@@ -118,6 +126,14 @@ def test_tokenize_offsets_address_source():
 def test_tokenize_emoticons_and_hashtags_single_tokens():
     tokens = [t.surface for t in tokenize("so sad :( #chennai #rains2015 :-)")]
     assert tokens == ["so", "sad", ":(", "#chennai", "#rains2015", ":-)"]
+
+
+def test_tokenize_long_hashtag_chain():
+    tokens = tokenize("adyar " + "#a" * 1200 + ":)")
+    assert tokens[0] == Token("adyar", 0, 5)
+    assert [t.surface for t in tokens[1:]] == ["#a"] * 1200 + [":)"]
+    assert all(t.end - t.start == len(t.surface) for t in tokens)
+    assert tokens[-1] == Token(":)", 2406, 2408)
 
 
 def test_tokenize_numbers_stay_whole():
