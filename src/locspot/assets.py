@@ -2,7 +2,9 @@
 
 All assets are UTF-8 text files. Word lists hold one surface per line,
 pair tables one abbrev<TAB>expansion per line, frequency tables one
-word<TAB>count per line. Lines starting with '#' are comments.
+word<TAB>count per line. Lines starting with '#' are comments. A file
+that is not UTF-8, or a count that is not an integer, raises DataError
+naming the file (and the line of the count).
 
 The default asset directory is the package's data/ directory; set the
 LOCSPOT_DATA environment variable to point somewhere else.
@@ -12,6 +14,8 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+
+from .errors import DataError
 
 _PACKAGE_DATA = Path(__file__).parent / "data"
 
@@ -35,22 +39,26 @@ def data_path(name: str) -> Path:
 
 
 def _content_lines(path):
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                yield line
+    """(line number, stripped line) of each non-blank, non-comment line."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def read_word_list(path) -> frozenset[str]:
     """Read a newline-delimited surface list, case-folded."""
-    return frozenset(line.lower() for line in _content_lines(path))
+    return frozenset(line.lower() for _, line in _content_lines(path))
 
 
 def read_pair_table(path) -> dict[str, set[str]]:
     """Read a two-column abbreviation table as a bidirectional mapping."""
     mapping: dict[str, set[str]] = {}
-    for line in _content_lines(path):
+    for _, line in _content_lines(path):
         short, _, long = line.partition("\t")
         short, long = short.strip().lower(), long.strip().lower()
         if not short or not long:
@@ -63,9 +71,13 @@ def read_pair_table(path) -> dict[str, set[str]]:
 def read_frequency_table(path) -> dict[str, int]:
     """Read a word<TAB>count frequency list."""
     counts: dict[str, int] = {}
-    for line in _content_lines(path):
+    for lineno, line in _content_lines(path):
         word, _, count = line.partition("\t")
         word = word.strip().lower()
         if word:
-            counts[word] = counts.get(word, 0) + int(count)
+            try:
+                counts[word] = counts.get(word, 0) + int(count)
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: bad count {count!r}") from None
     return counts

@@ -15,9 +15,10 @@ A config file is a JSON object:
 
 Relative gazetteer and asset paths resolve against the config file's
 directory. Unlisted assets fall back to the packaged data files (or the
-LOCSPOT_DATA directory when that environment variable is set). A value
-of the wrong shape or type, or a max_edit_distance or workers below 1,
-raises ConfigError.
+LOCSPOT_DATA directory when that environment variable is set).
+spelling_correction must be a JSON boolean; a string such as "false"
+is rejected rather than read as true. A value of the wrong shape or
+type, or a max_edit_distance or workers below 1, raises ConfigError.
 """
 
 from __future__ import annotations
@@ -117,7 +118,10 @@ class PipelineConfig:
                 raise ConfigError(f"asset file does not exist: {asset}")
             config.asset_paths[key] = asset
 
-        config.spelling_correction = bool(raw.get("spelling_correction", False))
+        config.spelling_correction = raw.get("spelling_correction", False)
+        if not isinstance(config.spelling_correction, bool):
+            raise ConfigError("spelling_correction must be true or false, got "
+                              f"{config.spelling_correction!r}")
         config.max_edit_distance = _number(raw, "max_edit_distance", int, 2)
         if config.max_edit_distance < 1:
             raise ConfigError("max_edit_distance must be a positive integer")

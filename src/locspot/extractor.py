@@ -297,14 +297,10 @@ class LocationExtractor:
 
 
 def extract(raw_tweet, model, gazetteer, config) -> list[LocationMention]:
-    """One-shot extraction; builds a pipeline behind a small cache."""
-    key = (id(model), id(gazetteer), id(config))
-    cached = _PIPELINES.get(key)
-    if cached is None:
-        if len(_PIPELINES) > 8:
-            _PIPELINES.clear()
-        cached = _PIPELINES[key] = LocationExtractor(model, gazetteer, config)
-    return cached.extract(raw_tweet)
+    """One-shot extraction; builds a throwaway pipeline.
 
-
-_PIPELINES: dict = {}
+    Callers extracting from many tweets should hold a LocationExtractor
+    instead so the segmenter, synonym map and spelling index are built
+    once.
+    """
+    return LocationExtractor(model, gazetteer, config).extract(raw_tweet)

@@ -101,6 +101,7 @@ def load_gazetteer(path, format: str, bbox=None) -> list[GazetteerEntry]:
     An optional bbox (south, west, north, east) drops entries whose
     coordinates fall outside it; entries without coordinates pass.
     Names are preserved verbatim; filtering happens in build_gazetteer.
+    A file that is not UTF-8 raises GazetteerFormatError naming it.
     """
     if format not in FORMATS:
         raise ConfigError(f"unknown gazetteer format: {format!r}")
@@ -109,10 +110,13 @@ def load_gazetteer(path, format: str, bbox=None) -> list[GazetteerEntry]:
         if not (south < north and west < east):
             raise ConfigError(f"bbox is not well-ordered: {bbox!r}")
 
-    if format == "geonames_tsv":
-        entries = _load_geonames_tsv(path)
-    else:
-        entries = _load_json(path, format)
+    try:
+        if format == "geonames_tsv":
+            entries = _load_geonames_tsv(path)
+        else:
+            entries = _load_json(path, format)
+    except UnicodeDecodeError as exc:
+        raise GazetteerFormatError(f"not UTF-8 text: {exc}", path=path) from None
 
     if bbox is not None:
         entries = [e for e in entries if _in_bbox(e.latitude, e.longitude, bbox)]

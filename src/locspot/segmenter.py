@@ -13,6 +13,7 @@ import math
 from functools import lru_cache
 
 from .assets import read_frequency_table
+from .errors import DataError
 
 
 class SegmenterDictionary:
@@ -30,7 +31,10 @@ class SegmenterDictionary:
 
     @classmethod
     def from_file(cls, path) -> "SegmenterDictionary":
-        return cls(read_frequency_table(path))
+        counts = read_frequency_table(path)
+        if not counts:
+            raise DataError(f"{path}: segmenter dictionary has no words")
+        return cls(counts)
 
     def merge_words(self, words, rank=10000) -> "SegmenterDictionary":
         """Return a copy with extra words (e.g. gazetteer unigrams) added.

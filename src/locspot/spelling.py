@@ -1,30 +1,25 @@
 """Symmetric-delete spelling correction.
 
-Every vocabulary word is indexed under all strings reachable by
-deleting up to max_edit_distance characters. Looking up a token means
-generating its own deletes and intersecting, which turns the expensive
-insert/substitute/transpose candidate generation into dictionary hits.
-Candidates are ranked by edit distance, then frequency.
+Every vocabulary word is indexed under its shadows: the word itself and
+every non-empty string left by deleting up to max_edit_distance of its
+characters, each shadow keying a list bucket of words. Looking up a
+token means taking the union of the buckets of its own shadows, which
+turns the expensive insert/substitute/transpose candidate generation
+into dictionary hits. Candidates are ranked by edit distance, then
+frequency.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 
-def _deletes(word: str, depth: int) -> set[str]:
-    results = set()
-    frontier = {word}
-    for _ in range(depth):
-        next_frontier = set()
-        for w in frontier:
-            if len(w) <= 1:
-                continue
-            for i in range(len(w)):
-                shorter = w[:i] + w[i + 1:]
-                if shorter not in results:
-                    results.add(shorter)
-                    next_frontier.add(shorter)
-        frontier = next_frontier
-    return results
+
+def _shadows(word: str, depth: int) -> set[str]:
+    """The word and every non-empty string left by deleting up to depth
+    of its characters."""
+    return {word} | {"".join(kept)
+                     for size in range(max(len(word) - depth, 1), len(word))
+                     for kept in combinations(word, size)}
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -59,13 +54,11 @@ class SymmetricDeleteCorrector:
             self._frequencies = {w.lower(): c for w, c in vocabulary.items()}
         else:
             self._frequencies = {w.lower(): 1 for w in vocabulary}
-        self._index: dict[str, set[str]] = {}
+        # distinct words with distinct shadows: no bucket repeats a word
+        self._index: dict[str, list[str]] = {}
         for word in self._frequencies:
-            for shadow in _deletes(word, max_edit_distance):
-                self._index.setdefault(shadow, set()).add(word)
-
-    def __contains__(self, token: str) -> bool:
-        return token.lower() in self._frequencies
+            for shadow in _shadows(word, max_edit_distance):
+                self._index.setdefault(shadow, []).append(word)
 
     def candidates(self, token: str) -> set[str]:
         """All vocabulary words within max_edit_distance of the token."""
@@ -73,14 +66,9 @@ class SymmetricDeleteCorrector:
 
     def _distances(self, token: str) -> dict[str, int]:
         """Edit distance of each candidate of a lower-cased token."""
-        pool = set()
-        if token in self._frequencies:
-            pool.add(token)
-        pool.update(self._index.get(token, ()))
-        for shadow in _deletes(token, self.max_edit_distance):
-            if shadow in self._frequencies:
-                pool.add(shadow)
-            pool.update(self._index.get(shadow, ()))
+        pool = set().union(*(
+            self._index.get(shadow, ())
+            for shadow in _shadows(token, self.max_edit_distance)))
         return {w: d for w in pool
                 if (d := edit_distance(token, w)) <= self.max_edit_distance}
 

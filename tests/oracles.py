@@ -343,3 +343,85 @@ def reference_build_gazetteer(entries, stopname_list, phrase_list, category_word
         category_words=categories,
         stopnames=removed,
     )
+
+
+# The former spelling._deletes and SymmetricDeleteCorrector, copied
+# verbatim, so that the shadow index is checked against the breadth-first
+# delete index with its two vocabulary side checks. Distances come from
+# levenshtein_damerau above instead of spelling.edit_distance.
+edit_distance = levenshtein_damerau
+
+
+def _deletes(word: str, depth: int) -> set[str]:
+    results = set()
+    frontier = {word}
+    for _ in range(depth):
+        next_frontier = set()
+        for w in frontier:
+            if len(w) <= 1:
+                continue
+            for i in range(len(w)):
+                shorter = w[:i] + w[i + 1:]
+                if shorter not in results:
+                    results.add(shorter)
+                    next_frontier.add(shorter)
+        frontier = next_frontier
+    return results
+
+
+class ReferenceSymmetricDeleteCorrector:
+    """Spelling corrector over a fixed vocabulary.
+
+    vocabulary may be a plain set (all words weight 1) or a mapping
+    word -> frequency used to rank candidates.
+    """
+
+    def __init__(self, vocabulary, max_edit_distance: int = 2):
+        if max_edit_distance < 1:
+            raise ValueError("max_edit_distance must be >= 1")
+        self.max_edit_distance = max_edit_distance
+        if hasattr(vocabulary, "items"):
+            self._frequencies = {w.lower(): c for w, c in vocabulary.items()}
+        else:
+            self._frequencies = {w.lower(): 1 for w in vocabulary}
+        self._index: dict[str, set[str]] = {}
+        for word in self._frequencies:
+            for shadow in _deletes(word, max_edit_distance):
+                self._index.setdefault(shadow, set()).add(word)
+
+    def __contains__(self, token: str) -> bool:
+        return token.lower() in self._frequencies
+
+    def candidates(self, token: str) -> set[str]:
+        """All vocabulary words within max_edit_distance of the token."""
+        return set(self._distances(token.lower()))
+
+    def _distances(self, token: str) -> dict[str, int]:
+        """Edit distance of each candidate of a lower-cased token."""
+        pool = set()
+        if token in self._frequencies:
+            pool.add(token)
+        pool.update(self._index.get(token, ()))
+        for shadow in _deletes(token, self.max_edit_distance):
+            if shadow in self._frequencies:
+                pool.add(shadow)
+            pool.update(self._index.get(shadow, ()))
+        return {w: d for w in pool
+                if (d := edit_distance(token, w)) <= self.max_edit_distance}
+
+    def correct(self, token: str) -> str:
+        """Best correction for an out-of-vocabulary token.
+
+        In-vocabulary and non-alphabetic tokens come back unchanged, as
+        does anything without a candidate within max_edit_distance.
+        """
+        lowered = token.lower()
+        if lowered in self._frequencies or not lowered.isalpha():
+            return token
+        distances = self._distances(lowered)
+        if not distances:
+            return token
+        return min(
+            distances,
+            key=lambda w: (distances[w], -self._frequencies[w], w),
+        )

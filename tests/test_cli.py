@@ -180,6 +180,7 @@ def test_extract_wrong_shape_cache_is_data_error(tmp_path):
     {"workers": "two"},
     {"partial_tp_credit": "half"},
     {"max_edit_distance": 0, "spelling_correction": True},
+    {"spelling_correction": "false"},
 ])
 def test_extract_malformed_config_is_config_error(cache_path, tmp_path, body):
     config = tmp_path / "bad.json"
@@ -187,6 +188,32 @@ def test_extract_malformed_config_is_config_error(cache_path, tmp_path, body):
     result = run_cli("--config", str(config), "--model-cache",
                      str(cache_path), "extract", stdin="")
     assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("asset, name, data, where", [
+    ("english_unigrams", "unigrams.txt", b"road\tabc\n", "unigrams.txt:1"),
+    ("english_unigrams", "unigrams.txt", b"# no words\n", "unigrams.txt"),
+    ("tweet_stopwords", "stopwords.txt", "caf\xe9\n".encode("latin-1"),
+     "stopwords.txt"),
+    (None, "latin1.json", json.dumps([{"id": 1, "name": "Caf\xe9 Road"}],
+                                     ensure_ascii=False).encode("latin-1"),
+     "latin1.json"),
+], ids=["bad_count", "no_words", "latin1_asset", "latin1_gazetteer"])
+def test_unreadable_input_file_is_data_error(cache_path, tmp_path, asset,
+                                             name, data, where):
+    (tmp_path / name).write_bytes(data)
+    if asset is None:
+        body = {"gazetteers": [{"path": name, "format": "generic_json"}]}
+        args = ("--model-cache", str(tmp_path / "c.lspc"), "build")
+    else:
+        body = {"assets": {asset: name}}
+        args = ("--model-cache", str(cache_path), "extract")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(body))
+    result = run_cli("--config", str(config), *args)
+    assert result.returncode == 2
+    assert where in result.stderr
     assert "Traceback" not in result.stderr
 
 

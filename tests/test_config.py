@@ -97,6 +97,7 @@ def test_not_json_rejected(tmp_path):
     {"workers": None},
     {"partial_tp_credit": "half"},
     {"partial_tp_credit": [0.5]},
+    {"spelling_correction": "false"},
 ])
 def test_malformed_values_rejected(tmp_path, body):
     with pytest.raises(ConfigError):

@@ -191,6 +191,18 @@ def test_extract_malformed_inputs(mini_model, mini_gazetteer,
                    extraction_config) == []
 
 
+def test_extract_follows_config_changes(mini_model, mini_gazetteer,
+                                        extraction_config):
+    import dataclasses
+
+    config = dataclasses.replace(extraction_config)
+    raw = "flooding near new avadi rd"
+    mentions = extract(raw, mini_model, mini_gazetteer, config)
+    assert [m.matched_name for m in mentions] == ["new avadi road"]
+    config.spelling_correction = True  # "rd" is now corrected away
+    assert extract(raw, mini_model, mini_gazetteer, config) == []
+
+
 def test_extract_is_deterministic(mini_extractor):
     raw = TABLE5[1][0]
     assert mini_extractor.extract(raw) == mini_extractor.extract(raw)

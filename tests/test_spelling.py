@@ -3,7 +3,7 @@ from collections import Counter
 
 from locspot import SymmetricDeleteCorrector, correct_spelling, spelling
 
-from oracles import levenshtein_damerau
+from oracles import ReferenceSymmetricDeleteCorrector, levenshtein_damerau
 
 VOCABULARY = {
     "chennai": 500, "channel": 400, "check": 300, "flood": 900,
@@ -97,3 +97,43 @@ def test_correct_measures_each_candidate_once(monkeypatch):
         best = corrector.correct(token)
         assert best == oracle_best(token, VOCABULARY, 2)
         assert measured and max(measured.values()) == 1, token
+
+
+def _random_word(rng, alphabet, longest):
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, longest)))
+
+
+def _differential_token(rng, words):
+    if words and rng.random() < 0.6:
+        token = mutate(rng, rng.choice(words))
+    else:
+        token = _random_word(rng, "aabbcd", 10)
+    if rng.random() < 0.05:
+        token += rng.choice("1-")
+    token = "".join(c.upper() if rng.random() < 0.2 else c for c in token)
+    return token[:10]
+
+
+def test_matches_reference_corrector():
+    rng = random.Random(5)
+    cases = 0
+    while cases < 21000:
+        words = [_random_word(rng, "aabbcd", 7) or "a"
+                 for _ in range(rng.randint(1, 30))]
+        words += [rng.choice("abcd") for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.2:
+            words.append("")
+        if rng.random() < 0.5:
+            vocabulary = {w: rng.randint(1, 4) for w in words}
+        else:
+            vocabulary = set(words)
+        distance = rng.randint(1, 3)
+        got = SymmetricDeleteCorrector(vocabulary, distance)
+        want = ReferenceSymmetricDeleteCorrector(vocabulary, distance)
+        tokens = ["", rng.choice(words)] + [
+            _differential_token(rng, words) for _ in range(10)]
+        for token in tokens:
+            case = (sorted(words), token, distance)
+            assert got.candidates(token) == want.candidates(token), case
+            assert got.correct(token) == want.correct(token), case
+        cases += len(tokens)
