@@ -22,6 +22,7 @@ from .assets import read_word_list
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, LocspotError
 from .evaluation import (
+    _read_utf8,
     aggregate,
     format_table,
     load_annotations,
@@ -188,26 +189,25 @@ def cmd_extract(args) -> int:
 
 def _read_predictions(path) -> dict:
     by_doc: dict = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+    for lineno, line in enumerate(_read_utf8(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: bad JSON: {exc}") from None
+        try:
+            if record.get("error"):
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: bad JSON: {exc}") from None
-            try:
-                if record.get("error"):
-                    continue
-                spans = [(m["char_start"], m["char_end"])
-                         for m in record.get("mentions", [])]
-                if not all(isinstance(i, int) for span in spans for i in span):
-                    raise TypeError("char_start and char_end must be integers")
-            except (AttributeError, KeyError, TypeError) as exc:
-                raise DataError(
-                    f"{path}:{lineno}: malformed prediction: {exc!r}") from None
-            by_doc[str(record.get("id"))] = spans
+            spans = [(m["char_start"], m["char_end"])
+                     for m in record.get("mentions", [])]
+            if not all(isinstance(i, int) for span in spans for i in span):
+                raise TypeError("char_start and char_end must be integers")
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise DataError(
+                f"{path}:{lineno}: malformed prediction: {exc!r}") from None
+        by_doc[str(record.get("id"))] = spans
     return by_doc
 
 
@@ -233,7 +233,7 @@ def cmd_evaluate(args) -> int:
         if spans is None:
             missing.append(doc_id)
             spans = []
-        text = txt_path.read_text(encoding="utf-8")
+        text = _read_utf8(txt_path)
         spans = normalize_hashtag_spans(spans, text)
         widened = normalize_hashtag_spans(gold, text)
         gold = [

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import AnnotationError
+from .errors import AnnotationError, DataError
 
 CATEGORIES = ("inLoc", "outLoc", "ambLoc")
 MODES = ("standard", "lnex_strict")
@@ -70,44 +70,51 @@ def load_annotations(ann_path, txt_path) -> list[GoldAnnotation]:
     Lines look like "T1<TAB>inLoc 26 42<TAB>Ganapathy Colony"; other
     standoff line types (notes, attributes, relations) are skipped. A
     surface that does not match the text at its offsets, or an unknown
-    category label, raises AnnotationError naming the annotation.
+    category label, raises AnnotationError naming the annotation; a file
+    that is not UTF-8 raises DataError naming the file.
     """
-    text = Path(txt_path).read_text(encoding="utf-8")
+    text = _read_utf8(txt_path)
     doc_id = Path(txt_path).stem
     annotations = []
-    with open(ann_path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line or not line.startswith("T"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise AnnotationError("expected 3 tab-separated columns",
-                                      parts[0] if parts else None)
-            ann_id, span_spec, surface = parts[0], parts[1], parts[2]
-            pieces = span_spec.split()
-            if len(pieces) != 3:
-                raise AnnotationError(
-                    f"expected 'Category start end', got {span_spec!r}", ann_id)
-            category, start_s, end_s = pieces
-            if category not in CATEGORIES:
-                raise AnnotationError(f"unknown category {category!r}", ann_id)
-            try:
-                start, end = int(start_s), int(end_s)
-            except ValueError:
-                raise AnnotationError(
-                    f"non-integer offsets in {span_spec!r}", ann_id) from None
-            if not (0 <= start < end <= len(text)):
-                raise AnnotationError(
-                    f"offsets {start}..{end} outside document", ann_id)
-            if text[start:end] != surface:
-                raise AnnotationError(
-                    f"surface {surface!r} does not match text "
-                    f"{text[start:end]!r} at {start}..{end}", ann_id)
-            annotations.append(GoldAnnotation(
-                doc_id=doc_id, char_start=start, char_end=end,
-                surface=surface, category=category))
+    for line in _read_utf8(ann_path).split("\n"):
+        if not line or not line.startswith("T"):
+            continue
+        parts = line.split("\t")
+        if len(parts) < 3:
+            raise AnnotationError("expected 3 tab-separated columns",
+                                  parts[0] if parts else None)
+        ann_id, span_spec, surface = parts[0], parts[1], parts[2]
+        pieces = span_spec.split()
+        if len(pieces) != 3:
+            raise AnnotationError(
+                f"expected 'Category start end', got {span_spec!r}", ann_id)
+        category, start_s, end_s = pieces
+        if category not in CATEGORIES:
+            raise AnnotationError(f"unknown category {category!r}", ann_id)
+        try:
+            start, end = int(start_s), int(end_s)
+        except ValueError:
+            raise AnnotationError(
+                f"non-integer offsets in {span_spec!r}", ann_id) from None
+        if not (0 <= start < end <= len(text)):
+            raise AnnotationError(
+                f"offsets {start}..{end} outside document", ann_id)
+        if text[start:end] != surface:
+            raise AnnotationError(
+                f"surface {surface!r} does not match text "
+                f"{text[start:end]!r} at {start}..{end}", ann_id)
+        annotations.append(GoldAnnotation(
+            doc_id=doc_id, char_start=start, char_end=end,
+            surface=surface, category=category))
     return annotations
+
+
+def _read_utf8(path) -> str:
+    """The text of a file, or DataError naming it when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _span(obj) -> tuple[int, int]:

@@ -9,10 +9,12 @@ URLs, mentions and retweet markers are matched on the raw text, each
 pattern on its own: a non-ASCII word character still extends a span
 before it is blanked, and overlapping matches are all blanked.
 
-Tokenization scans the same space-separated words. Hashtags and
-emoticons stay single tokens, acronyms like "u.s." keep their periods,
-and other punctuation adjacent to (or sandwiched between) words is
-detached into separate tokens.
+Tokenization matches one grammar against each space-separated chunk:
+a chain of hashtags ("#a#b", one token per tag), then either an
+emoticon that ends the chunk or lead punctuation, a core and trail
+punctuation. Acronym ("u.s.") and number ("1,000.5") cores stay whole;
+other cores split into runs of [.,;:!?] and runs of everything else, so
+"school.west" gives "school", ".", "west".
 """
 
 from __future__ import annotations
@@ -26,20 +28,37 @@ _RT_RE = re.compile(r"\bRT\b")  # uppercase retweet marker only
 _BLANK_RE = re.compile(r"[^\x00-\x7f]|\s")  # \s is exactly str.isspace()
 _WORD_RE = re.compile(r"[^ ]+")
 
+_PUNCT = ".,!?;:\"'()[]{}<>|\\/`~^*+=&%$#@…-"
 _HASHTAG_RE = re.compile(r"#\w+")
-_ACRONYM_RE = re.compile(r"^(?:[a-z]\.)+[a-z]?$")
-_NUMBER_RE = re.compile(r"^\d+(?:[.,:]\d+)*$")
-_INTERNAL_SPLIT_RE = re.compile(r"[.,;:!?]+")
-_EMOTICON_RE = re.compile(
-    r"^(?:"
-    r"[<>]?[:;=8][\-o'*]?[)\](\[dph/\\|{}@o0*3]+"  # :-) ;p =D :/
-    r"|[)\](\[dp/\\|{}]+[\-o'*]?[:;=8][<>]?"       # (-: mirrored
-    r"|<+/?3+"                                      # <3
-    r"|\^[_\-.]?\^"                                 # ^_^
-    r"|[xX][dD]+"                                   # xD
-    r")$"
-)
-_PUNCT = set(".,!?;:\"'()[]{}<>|\\/`~^*+=&%$#@…-")
+_CORE_RUN_RE = re.compile(r"[.,;:!?]+|[^.,;:!?]+")
+# one space-separated chunk; PUNCT stands for the escaped _PUNCT set
+_CHUNK_RE = re.compile(r"""
+    (?=[^ ])                                            # never empty
+    (?P<tags>(?:\#\w+)*)
+    (?:
+        (?P<emo>
+            [<>]?[:;=8][\-o'*]?[)\](\[dph/\\|{}@o0*3]+   # :-) ;p =D :/
+          | [)\](\[dp/\\|{}]+[\-o'*]?[:;=8][<>]?         # (-: mirrored
+          | <+/?3+                                      # <3
+          | \^[_\-.]?\^                                 # ^_^
+          | [xX][dD]+                                   # xD
+        )(?=\ |$)
+      | (?P<lead>[PUNCT]*)
+        # the trail's lookahead makes a whole core reach the chunk's end;
+        # a lazy core ([^ ]*?) would retry the trail at every character
+        (?:
+            (?P<whole>(?:[a-z]\.)+[a-z]?|\d+(?:[.,:]\d+)*)  # u.s. 1,000.5
+          | (?P<core>(?:[^ ]*[^ PUNCT])?)
+        )
+        (?P<trail>[PUNCT]*)(?=\ |$)
+    )
+""".replace("PUNCT", re.escape(_PUNCT)), re.VERBOSE)
+# (group number, pattern that cuts the group into tokens) in text order;
+# numbers, not names, because Match.span(name) is slower
+_CHUNK_PIECES = tuple(
+    (_CHUNK_RE.groupindex[name], pieces) for name, pieces in (
+        ("tags", _HASHTAG_RE), ("emo", _WORD_RE), ("lead", _WORD_RE),
+        ("whole", _WORD_RE), ("core", _CORE_RUN_RE), ("trail", _WORD_RE)))
 
 
 @dataclass
@@ -104,61 +123,13 @@ def clean_tweet(raw: str) -> tuple[str, list[int]]:
 def tokenize(cleaned: str) -> list[Token]:
     """Tokenize cleaned text, offsets relative to the given string."""
     tokens: list[Token] = []
-    for m in _WORD_RE.finditer(cleaned):
-        _split_chunk(m.group(), m.start(), tokens)
+    for chunk in _CHUNK_RE.finditer(cleaned):
+        for group, pieces in _CHUNK_PIECES:
+            start, end = chunk.span(group)
+            if start < end:
+                for m in pieces.finditer(cleaned, start, end):
+                    tokens.append(Token(m.group(), m.start(), m.end()))
     return tokens
-
-
-def _split_chunk(chunk: str, base: int, out: list[Token]):
-    # a leading chain of hashtags ("#a#b") is peeled off in one loop;
-    # no emoticon starts with "#", so what follows is split on its own
-    pos = 0
-    while m := _HASHTAG_RE.match(chunk, pos):
-        out.append(Token(m.group(), base + pos, base + m.end()))
-        pos = m.end()
-    if pos == len(chunk):
-        return
-    chunk, base = chunk[pos:], base + pos
-
-    if _EMOTICON_RE.match(chunk):
-        out.append(Token(chunk, base, base + len(chunk)))
-        return
-
-    lead = 0
-    while lead < len(chunk) and chunk[lead] in _PUNCT:
-        lead += 1
-    if lead:
-        out.append(Token(chunk[:lead], base, base + lead))
-        chunk, base = chunk[lead:], base + lead
-        if not chunk:
-            return
-
-    trail = len(chunk)
-    while trail > 0 and chunk[trail - 1] in _PUNCT:
-        # acronym periods belong to the token ("u.s." stays whole)
-        if chunk[trail - 1] == "." and _ACRONYM_RE.match(chunk[:trail]):
-            break
-        trail -= 1
-    core, trailing = chunk[:trail], chunk[trail:]
-
-    if core:
-        _split_core(core, base, out)
-    if trailing:
-        out.append(Token(trailing, base + trail, base + len(chunk)))
-
-
-def _split_core(core: str, base: int, out: list[Token]):
-    if _ACRONYM_RE.match(core) or _NUMBER_RE.match(core):
-        out.append(Token(core, base, base + len(core)))
-        return
-    pos = 0
-    for m in _INTERNAL_SPLIT_RE.finditer(core):
-        if m.start() > pos:
-            out.append(Token(core[pos:m.start()], base + pos, base + m.start()))
-        out.append(Token(m.group(), base + m.start(), base + m.end()))
-        pos = m.end()
-    if pos < len(core):
-        out.append(Token(core[pos:], base + pos, base + len(core)))
 
 
 def split_on_stopwords(tokens, stoplist) -> list[list[Token]]:

@@ -7,6 +7,7 @@ exhaustive enumeration) without touching the code paths under test.
 import itertools
 import logging
 import random
+import re
 
 from locspot import textprep
 from locspot.errors import GazetteerFormatError
@@ -173,16 +174,83 @@ def reference_clean_tweet(raw):
     return "".join(cleaned_chars), offset_map
 
 
-def reference_prepare_tweet(raw, stopwords, segmenter=None, corrector=None):
-    """Tokens and splits of a tweet, one stage after the other.
+# The former textprep chunk splitter, copied verbatim so that the chunk
+# grammar is checked against code it does not share.
+_HASHTAG_RE = re.compile(r"#\w+")
+_ACRONYM_RE = re.compile(r"^(?:[a-z]\.)+[a-z]?$")
+_NUMBER_RE = re.compile(r"^\d+(?:[.,:]\d+)*$")
+_INTERNAL_SPLIT_RE = re.compile(r"[.,;:!?]+")
+_EMOTICON_RE = re.compile(
+    r"^(?:"
+    r"[<>]?[:;=8][\-o'*]?[)\](\[dph/\\|{}@o0*3]+"  # :-) ;p =D :/
+    r"|[)\](\[dp/\\|{}]+[\-o'*]?[:;=8][<>]?"       # (-: mirrored
+    r"|<+/?3+"                                      # <3
+    r"|\^[_\-.]?\^"                                 # ^_^
+    r"|[xX][dD]+"                                   # xD
+    r")$"
+)
+_PUNCT = set(".,!?;:\"'()[]{}<>|\\/`~^*+=&%$#@…-")
 
-    Cleans with reference_clean_tweet, cuts space-separated chunks by
-    hand (each still split by the library's chunk splitter), maps both
-    ends of every token through the offset map, segments all hashtags,
-    then corrects spelling in a second pass.
+
+def _split_chunk(chunk: str, base: int, out: list[Token]):
+    # a leading chain of hashtags ("#a#b") is peeled off in one loop;
+    # no emoticon starts with "#", so what follows is split on its own
+    pos = 0
+    while m := _HASHTAG_RE.match(chunk, pos):
+        out.append(Token(m.group(), base + pos, base + m.end()))
+        pos = m.end()
+    if pos == len(chunk):
+        return
+    chunk, base = chunk[pos:], base + pos
+
+    if _EMOTICON_RE.match(chunk):
+        out.append(Token(chunk, base, base + len(chunk)))
+        return
+
+    lead = 0
+    while lead < len(chunk) and chunk[lead] in _PUNCT:
+        lead += 1
+    if lead:
+        out.append(Token(chunk[:lead], base, base + lead))
+        chunk, base = chunk[lead:], base + lead
+        if not chunk:
+            return
+
+    trail = len(chunk)
+    while trail > 0 and chunk[trail - 1] in _PUNCT:
+        # acronym periods belong to the token ("u.s." stays whole)
+        if chunk[trail - 1] == "." and _ACRONYM_RE.match(chunk[:trail]):
+            break
+        trail -= 1
+    core, trailing = chunk[:trail], chunk[trail:]
+
+    if core:
+        _split_core(core, base, out)
+    if trailing:
+        out.append(Token(trailing, base + trail, base + len(chunk)))
+
+
+def _split_core(core: str, base: int, out: list[Token]):
+    if _ACRONYM_RE.match(core) or _NUMBER_RE.match(core):
+        out.append(Token(core, base, base + len(core)))
+        return
+    pos = 0
+    for m in _INTERNAL_SPLIT_RE.finditer(core):
+        if m.start() > pos:
+            out.append(Token(core[pos:m.start()], base + pos, base + m.start()))
+        out.append(Token(m.group(), base + m.start(), base + m.end()))
+        pos = m.end()
+    if pos < len(core):
+        out.append(Token(core[pos:], base + pos, base + len(core)))
+
+
+def reference_tokenize(cleaned):
+    """Tokens of cleaned text, one space-separated chunk at a time.
+
+    Cuts the chunks by hand and splits each with _split_chunk, the
+    hand-written splitter that the chunk grammar replaced.
     """
-    cleaned, offset_map = reference_clean_tweet(raw)
-    local = []
+    tokens = []
     pos = 0
     while pos < len(cleaned):
         if cleaned[pos] == " ":
@@ -190,10 +258,21 @@ def reference_prepare_tweet(raw, stopwords, segmenter=None, corrector=None):
             continue
         end = cleaned.find(" ", pos)
         end = len(cleaned) if end == -1 else end
-        textprep._split_chunk(cleaned[pos:end], pos, local)
+        _split_chunk(cleaned[pos:end], pos, tokens)
         pos = end
+    return tokens
+
+
+def reference_prepare_tweet(raw, stopwords, segmenter=None, corrector=None):
+    """Tokens and splits of a tweet, one stage after the other.
+
+    Cleans with reference_clean_tweet and tokenizes with
+    reference_tokenize, maps both ends of every token through the offset
+    map, segments all hashtags, then corrects spelling in a second pass.
+    """
+    cleaned, offset_map = reference_clean_tweet(raw)
     tokens = [Token(t.surface, offset_map[t.start], offset_map[t.end - 1] + 1)
-              for t in local]
+              for t in reference_tokenize(cleaned)]
 
     expansions = {}
     if segmenter is not None:

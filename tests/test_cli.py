@@ -348,6 +348,25 @@ def test_evaluate_malformed_prediction_is_data_error(gold_dir, tmp_path,
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("name", ["t1.txt", "t1.ann", "pred.jsonl"])
+def test_evaluate_non_utf8_input_is_data_error(tmp_path, name):
+    gold = tmp_path / "gold"
+    gold.mkdir()
+    files = {
+        "t1.txt": "Caf\xe9 near Adyar",
+        "t1.ann": "T1\tinLoc 10 15\tAdyar\n#1\tAnnotatorNotes T1\tcaf\xe9\n",
+        "pred.jsonl": '{"id": "t1", "mentions": [], "note": "caf\xe9"}\n',
+    }
+    for file_name, text in files.items():
+        path = (tmp_path if file_name == "pred.jsonl" else gold) / file_name
+        path.write_bytes(text.encode(
+            "latin-1" if file_name == name else "utf-8"))
+    result = run_cli("evaluate", str(tmp_path / "pred.jsonl"), str(gold))
+    assert result.returncode == 2
+    assert name in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 # ------------------------------------------------------------------ bench
 
 def test_bench_smoke():

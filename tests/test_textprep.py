@@ -1,11 +1,17 @@
 import random
 import time
 
+import pytest
+
 from locspot import clean_tweet, prepare_tweet, split_on_stopwords, tokenize
 from locspot.spelling import SymmetricDeleteCorrector
-from locspot.textprep import Token
+from locspot.textprep import _PUNCT, Token
 
-from oracles import reference_clean_tweet, reference_prepare_tweet
+from oracles import (
+    reference_clean_tweet,
+    reference_prepare_tweet,
+    reference_tokenize,
+)
 
 
 # ---------------------------------------------------------------- cleaning
@@ -139,6 +145,62 @@ def test_tokenize_long_hashtag_chain():
 def test_tokenize_numbers_stay_whole():
     tokens = [t.surface for t in tokenize("depth 2.5 m, rose 1,000 mm")]
     assert tokens == ["depth", "2.5", "m", ",", "rose", "1,000", "mm"]
+
+
+@pytest.mark.parametrize("chunk, surfaces", [
+    ("#a#b", ["#a", "#b"]),
+    ("##a", ["##", "a"]),
+    ("a#b", ["a#b"]),
+    ("#a8)", ["#a8", ")"]),
+    ("(#a", ["(#", "a"]),
+    ("u.s.a.!", ["u.s.a.", "!"]),
+    ("u.s..", ["u.s.", "."]),
+    ("..u.s.", ["..", "u.s."]),
+    ("x..u.s.", ["x", "..", "u", ".", "s", "."]),
+    ("1,000.5.", ["1,000.5", "."]),
+    ("ab:-)x", ["ab", ":", "-)x"]),
+    ("adyar:)", ["adyar", ":)"]),
+])
+def test_tokenize_chunk_edge_cases(chunk, surfaces):
+    assert [t.surface for t in tokenize(chunk)] == surfaces
+
+
+# hashtag, emoticon, acronym and number shapes and their fragments, every
+# punctuation mark, letters and digits; concatenated, they make chunks
+# that sit on the boundaries between the grammar's branches
+_CHUNK_FUZZ_PIECES = [
+    "#", "#a", "##", ":)", ":-(", "(-:", "<3", "^_^", "xd", ":p", "8", "x",
+    "d", "p", "o", "3", "0", ")", "(", "<", ">", "u.", "s.", "u.s.a",
+    "1,000", "2.5", "12:30", "a", "b", "z", "1", "7", *_PUNCT,
+]
+
+
+def _chunk_strings(seed, how_many):
+    rng = random.Random(seed)
+    return [" ".join("".join(rng.choice(_CHUNK_FUZZ_PIECES)
+                             for _ in range(rng.randint(1, 5)))
+                     for _ in range(rng.randint(1, 3)))
+            for _ in range(how_many)]
+
+
+def test_tokenize_matches_chunk_oracle():
+    texts = _chunk_strings(13, 60_000)
+    texts += [clean_tweet(raw)[0] for raw in _fuzz_strings(14, 40_000)]
+    for text in texts:
+        assert tokenize(text) == reference_tokenize(text), repr(text)
+
+
+@pytest.mark.parametrize("chunk", [
+    "a" + "!" * 100_000 + "a",
+    "(" * 100_000 + "a" + ")" * 100_000,
+    "a." * 100_000 + "ab",
+    ":" + ")" * 100_000 + "a",
+], ids=["bang_run", "brackets", "acronym_run", "emoticon_run"])
+def test_tokenize_adversarial_chunks_in_linear_time(chunk):
+    started = time.perf_counter()
+    tokens = tokenize(chunk)
+    assert time.perf_counter() - started < 2
+    assert tokens == reference_tokenize(chunk)
 
 
 def test_tokenize_hashtag_properties():
