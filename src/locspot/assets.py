@@ -3,8 +3,8 @@
 All assets are UTF-8 text files. Word lists hold one surface per line,
 pair tables one abbrev<TAB>expansion per line, frequency tables one
 word<TAB>count per line. Lines starting with '#' are comments. A file
-that is not UTF-8, or a count that is not an integer, raises DataError
-naming the file (and the line of the count).
+that is not UTF-8, or a count that is not a positive integer, raises
+DataError naming the file (and the line of the count).
 
 The default asset directory is the package's data/ directory; set the
 LOCSPOT_DATA environment variable to point somewhere else.
@@ -76,8 +76,12 @@ def read_frequency_table(path) -> dict[str, int]:
         word = word.strip().lower()
         if word:
             try:
-                counts[word] = counts.get(word, 0) + int(count)
+                n = int(count)
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: bad count {count!r}") from None
+            if n < 1:
+                raise DataError(
+                    f"{path}:{lineno}: count {n} is not positive")
+            counts[word] = counts.get(word, 0) + n
     return counts

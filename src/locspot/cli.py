@@ -22,10 +22,10 @@ from .assets import read_word_list
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, LocspotError
 from .evaluation import (
+    _parse_annotations,
     _read_utf8,
     aggregate,
     format_table,
-    load_annotations,
     match_spans,
     normalize_hashtag_spans,
     ScoreReport,
@@ -227,13 +227,13 @@ def cmd_evaluate(args) -> int:
         ann_path = txt_path.with_suffix(".ann")
         if not ann_path.exists():
             raise DataError(f"missing annotation file: {ann_path}")
-        gold = load_annotations(ann_path, txt_path)
         doc_id = txt_path.stem
+        text = _read_utf8(txt_path)
+        gold = _parse_annotations(ann_path, doc_id, text)
         spans = predictions.get(doc_id)
         if spans is None:
             missing.append(doc_id)
             spans = []
-        text = _read_utf8(txt_path)
         spans = normalize_hashtag_spans(spans, text)
         widened = normalize_hashtag_spans(gold, text)
         gold = [

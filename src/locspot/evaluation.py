@@ -73,8 +73,12 @@ def load_annotations(ann_path, txt_path) -> list[GoldAnnotation]:
     category label, raises AnnotationError naming the annotation; a file
     that is not UTF-8 raises DataError naming the file.
     """
-    text = _read_utf8(txt_path)
-    doc_id = Path(txt_path).stem
+    return _parse_annotations(ann_path, Path(txt_path).stem,
+                              _read_utf8(txt_path))
+
+
+def _parse_annotations(ann_path, doc_id, text) -> list[GoldAnnotation]:
+    """load_annotations for a document whose text is already read."""
     annotations = []
     for line in _read_utf8(ann_path).split("\n"):
         if not line or not line.startswith("T"):

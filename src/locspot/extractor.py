@@ -263,7 +263,7 @@ class LocationExtractor:
         self.corrector = None
         if config.spelling_correction:
             counts = self.segmenter.counts
-            vocabulary = {w: max(1, counts.get(w, 1))
+            vocabulary = {w: counts.get(w, 1)
                           for w in config.spelling_words | model.vocabulary}
             self.corrector = SymmetricDeleteCorrector(
                 vocabulary, config.max_edit_distance)

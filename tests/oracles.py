@@ -504,3 +504,21 @@ class ReferenceSymmetricDeleteCorrector:
             distances,
             key=lambda w: (distances[w], -self._frequencies[w], w),
         )
+
+
+# The former SegmenterDictionary._segment, copied verbatim as a function
+# of the dictionary: the O(n^2) program that scores every slice of the
+# text, known or not, and copies a word tuple into every cell.
+def reference_segment(dictionary, text: str) -> tuple[str, ...]:
+    n = len(text)
+    # best[i]: (logp, -word_count, words) for text[:i]
+    best: list[tuple[float, int, tuple[str, ...]]] = [(0.0, 0, ())]
+    for end in range(1, n + 1):
+        candidates = []
+        for start in range(end):
+            prev = best[start]
+            word = text[start:end]
+            logp = prev[0] + dictionary.log_probability(word)
+            candidates.append((logp, prev[1] - 1, prev[2] + (word,)))
+        best.append(max(candidates, key=lambda c: (c[0], c[1])))
+    return best[n][2]

@@ -193,13 +193,15 @@ def test_extract_malformed_config_is_config_error(cache_path, tmp_path, body):
 
 @pytest.mark.parametrize("asset, name, data, where", [
     ("english_unigrams", "unigrams.txt", b"road\tabc\n", "unigrams.txt:1"),
+    ("english_unigrams", "unigrams.txt", b"the\t0\n", "unigrams.txt:1"),
     ("english_unigrams", "unigrams.txt", b"# no words\n", "unigrams.txt"),
     ("tweet_stopwords", "stopwords.txt", "caf\xe9\n".encode("latin-1"),
      "stopwords.txt"),
     (None, "latin1.json", json.dumps([{"id": 1, "name": "Caf\xe9 Road"}],
                                      ensure_ascii=False).encode("latin-1"),
      "latin1.json"),
-], ids=["bad_count", "no_words", "latin1_asset", "latin1_gazetteer"])
+], ids=["bad_count", "zero_count", "no_words", "latin1_asset",
+        "latin1_gazetteer"])
 def test_unreadable_input_file_is_data_error(cache_path, tmp_path, asset,
                                              name, data, where):
     (tmp_path / name).write_bytes(data)
