@@ -1,46 +1,54 @@
 """Versioned binary cache for a built gazetteer.
 
-Layout: 4 magic bytes "LSPC", 1 version byte, then a zlib-compressed
-UTF-8 JSON payload with sorted keys, so identical inputs always produce
-byte-identical cache files. The version 2 payload stores entries, the
-variant index, category words, and stop-names; the language model is a
-pure function of the variants and is derived on load. Version 1 caches
-(which also stored n-gram counts) are rejected and must be rebuilt.
+Layout: 4 magic bytes "LSPC", 1 version byte, then two zlib members
+(level 6) back to back, each a UTF-8 JSON object with sorted keys, so
+identical inputs always produce byte-identical cache files.
+
+1. The index member holds what extraction reads: `ids`, the sorted
+   entry ids; `surfaces`, the sorted variant surfaces; `kinds`, one
+   kind code per surface (its position in KIND_CODES);
+   `entry_indices`, each surface's entry ids as sorted positions in
+   `ids`; `category_words`; and `stopnames`.
+2. The entries member holds the columns `name`, `lat`, `lon`, `source`
+   and `extra`, each parallel to `ids`.
+
+load_cache decodes the index member only. The entries member stays
+compressed until Gazetteer.entries is first read, which extraction
+never does. The language model is a pure function of the variants and
+is derived on load. A cache of any other version is rejected and must
+be rebuilt.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
+from collections.abc import Mapping
+from functools import cached_property
 from pathlib import Path
 
 from .errors import DataError
-from .gazetteer import Gazetteer, GazetteerEntry, NameVariant
+from .gazetteer import (
+    BRACKET_ALTERNATIVE,
+    HYPHEN_SPLIT,
+    ORIGINAL,
+    SKIPGRAM,
+    Gazetteer,
+    GazetteerEntry,
+    NameVariant,
+)
 from .langmodel import CompiledModel, compute_model
 
 MAGIC = b"LSPC"
-VERSION = 2
+VERSION = 3
+KIND_CODES = (ORIGINAL, SKIPGRAM, BRACKET_ALTERNATIVE, HYPHEN_SPLIT)
+_COLUMNS = ("name", "lat", "lon", "source", "extra")
 
 
-def _payload(gazetteer: Gazetteer) -> dict:
-    return {
-        "entries": {
-            e.id: {
-                "name": e.canonical_name,
-                "lat": e.latitude,
-                "lon": e.longitude,
-                "source": e.source,
-                "extra": e.extra,
-            }
-            for e in gazetteer.entries.values()
-        },
-        "variants": {
-            surface: {"kind": v.kind, "entry_ids": sorted(v.entry_ids)}
-            for surface, v in gazetteer.variants.items()
-        },
-        "category_words": sorted(gazetteer.category_words),
-        "stopnames": sorted(gazetteer.stopnames),
-    }
+def _member(obj) -> bytes:
+    text = json.dumps(obj, sort_keys=True, ensure_ascii=False,
+                      separators=(",", ":"))
+    return zlib.compress(text.encode("utf-8"), 6)
 
 
 def save_cache(path, gazetteer: Gazetteer, model: CompiledModel):
@@ -48,35 +56,79 @@ def save_cache(path, gazetteer: Gazetteer, model: CompiledModel):
 
     The model is not stored, because load_cache derives it on load.
     """
-    payload = json.dumps(_payload(gazetteer), sort_keys=True,
-                         ensure_ascii=False, separators=(",", ":"))
-    blob = MAGIC + bytes([VERSION]) + zlib.compress(payload.encode("utf-8"), 9)
+    ids = sorted(gazetteer.entries)
+    position = {entry_id: i for i, entry_id in enumerate(ids)}
+    code = {kind: i for i, kind in enumerate(KIND_CODES)}
+    surfaces = sorted(gazetteer.variants)
+    variants = [gazetteer.variants[surface] for surface in surfaces]
+    index = {
+        "ids": ids,
+        "surfaces": surfaces,
+        "kinds": [code[v.kind] for v in variants],
+        "entry_indices": [sorted(position[e] for e in v.entry_ids)
+                          for v in variants],
+        "category_words": sorted(gazetteer.category_words),
+        "stopnames": sorted(gazetteer.stopnames),
+    }
+    entries = [gazetteer.entries[entry_id] for entry_id in ids]
+    columns = {
+        "name": [e.canonical_name for e in entries],
+        "lat": [e.latitude for e in entries],
+        "lon": [e.longitude for e in entries],
+        "source": [e.source for e in entries],
+        "extra": [e.extra for e in entries],
+    }
+    blob = MAGIC + bytes([VERSION]) + _member(index) + _member(columns)
     Path(path).write_bytes(blob)
 
 
-def _gazetteer(payload) -> Gazetteer:
-    entries = {
-        entry_id: GazetteerEntry(
-            id=entry_id,
-            canonical_name=spec["name"],
-            latitude=spec["lat"],
-            longitude=spec["lon"],
-            source=spec["source"],
-            extra=spec.get("extra") or {},
-        )
-        for entry_id, spec in payload["entries"].items()
+class _CachedEntries(Mapping):
+    """Read-only entries that decode the entries member on first access."""
+
+    def __init__(self, path, ids, member: bytes):
+        self._path = path
+        self._ids = ids
+        self._member = member
+
+    @cached_property
+    def _entries(self) -> dict[str, GazetteerEntry]:
+        try:
+            columns = json.loads(zlib.decompress(self._member).decode("utf-8"))
+            rows = zip(self._ids, *(columns[c] for c in _COLUMNS), strict=True)
+            entries = {row[0]: GazetteerEntry(*row) for row in rows}
+        except (zlib.error, KeyError, TypeError, ValueError) as exc:
+            raise DataError(
+                f"{self._path}: corrupt cache entries: {exc!r}") from None
+        del self._member
+        return entries
+
+    def __getitem__(self, entry_id) -> GazetteerEntry:
+        return self._entries[entry_id]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def _variants(path, index) -> dict[str, NameVariant]:
+    surfaces, codes = index["surfaces"], index["kinds"]
+    positions = index["entry_indices"]
+    kind_of = dict(enumerate(KIND_CODES))
+    entry_of = dict(enumerate(index["ids"]))
+    try:
+        kinds = [kind_of[code] for code in codes]
+    except KeyError as exc:
+        raise DataError(f"{path}: unknown variant kind code {exc}") from None
+    try:
+        entry_ids = [{entry_of[i] for i in p} for p in positions]
+    except KeyError as exc:
+        raise DataError(f"{path}: entry index {exc} out of range") from None
+    return {
+        surface: NameVariant(surface, kind, ids)
+        for surface, kind, ids in zip(surfaces, kinds, entry_ids, strict=True)
     }
-    variants = {
-        surface: NameVariant(surface=surface, kind=spec["kind"],
-                             entry_ids=set(spec["entry_ids"]))
-        for surface, spec in payload["variants"].items()
-    }
-    return Gazetteer(
-        variants=variants,
-        entries=entries,
-        category_words=frozenset(payload["category_words"]),
-        stopnames=frozenset(payload["stopnames"]),
-    )
 
 
 def load_cache(path) -> tuple[Gazetteer, CompiledModel]:
@@ -88,12 +140,21 @@ def load_cache(path) -> tuple[Gazetteer, CompiledModel]:
         version = blob[4] if len(blob) > 4 else "?"
         raise DataError(f"{path}: unsupported cache version {version}; "
                         "rebuild it with `locspot build`")
+    reader = zlib.decompressobj()
     try:
-        payload = json.loads(zlib.decompress(blob[5:]).decode("utf-8"))
+        text = reader.decompress(blob[5:])
+        if not reader.eof:
+            raise DataError(f"{path}: truncated cache index")
+        index = json.loads(text.decode("utf-8"))
     except (zlib.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: corrupt cache payload: {exc}") from None
     try:
-        gazetteer = _gazetteer(payload)
+        gazetteer = Gazetteer(
+            variants=_variants(path, index),
+            entries=_CachedEntries(path, index["ids"], reader.unused_data),
+            category_words=frozenset(index["category_words"]),
+            stopnames=frozenset(index["stopnames"]),
+        )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{path}: malformed cache payload: {exc!r}") from None
     return gazetteer, compute_model(gazetteer)

@@ -2,8 +2,13 @@
 
 extract is a JSON-lines filter: each stdin line {"id": ..., "text": ...}
 produces exactly one stdout line with the extracted mentions, in input
-order, regardless of how many worker lanes are running. Malformed lines
-become inline error records instead of aborting the stream.
+order, regardless of how many worker lanes are running. Malformed lines,
+and lines whose text is longer than MAX_TEXT_CHARS, become inline error
+records instead of aborting the stream. With one lane, stdout is
+flushed after a record whenever no further input is waiting, so a live
+consumer gets each line when it is ready while a file or a fast pipe
+stays block-buffered. With several lanes (the Pool.imap path), records
+are flushed only when the buffer fills or the stream ends.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error.
 """
@@ -14,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import multiprocessing
+import select
 import sys
 import time
 
@@ -36,6 +42,7 @@ from .langmodel import compute_model
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
+MAX_TEXT_CHARS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,6 +149,8 @@ def process_line(line, extractor=None) -> str:
         text = record.get("text")
         if not isinstance(text, str):
             raise ValueError("missing or non-string 'text' field")
+        if len(text) > MAX_TEXT_CHARS:
+            raise ValueError(f"text longer than {MAX_TEXT_CHARS} characters")
         mentions = extractor.extract(text)
         out = {"id": record_id,
                "mentions": [m.to_dict() for m in mentions]}
@@ -172,6 +181,8 @@ def cmd_extract(args) -> int:
         for line in sys.stdin:
             print(process_line(line, extractor))
             lines += 1
+            if not select.select([sys.stdin], [], [], 0)[0]:
+                sys.stdout.flush()
     else:
         global _WORKER_EXTRACTOR
         _WORKER_EXTRACTOR = extractor  # inherited on fork

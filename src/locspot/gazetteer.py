@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -39,7 +40,7 @@ _BRACKET_RE = re.compile(r"\(([^()]*)\)")
 _WS_RE = re.compile(r"\s+")
 
 
-@dataclass
+@dataclass(slots=True)
 class GazetteerEntry:
     """One named place from a gazetteer source."""
 
@@ -51,7 +52,7 @@ class GazetteerEntry:
     extra: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class NameVariant:
     """A matchable surface form together with the entries it names."""
 
@@ -62,10 +63,14 @@ class NameVariant:
 
 @dataclass
 class Gazetteer:
-    """Immutable-after-build name index used for matching and linking."""
+    """Immutable-after-build name index used for matching and linking.
+
+    entries is read-only; a gazetteer loaded from a cache decodes it on
+    first access, because extraction reads only the variants.
+    """
 
     variants: dict[str, NameVariant]
-    entries: dict[str, GazetteerEntry]
+    entries: Mapping[str, GazetteerEntry]
     category_words: frozenset[str]
     stopnames: frozenset[str]
 

@@ -1,11 +1,18 @@
 import hashlib
 import json
+import random
 import zlib
 
 import pytest
 
-from locspot import compute_model, load_cache, save_cache
-from locspot.cache import MAGIC, VERSION
+from locspot import (
+    GazetteerEntry,
+    build_gazetteer,
+    compute_model,
+    load_cache,
+    save_cache,
+)
+from locspot.cache import KIND_CODES, MAGIC, VERSION
 from locspot.errors import DataError
 
 from conftest import MINI_NAMES, build_from_names
@@ -85,3 +92,135 @@ def test_wrong_shape_payload_rejected(tmp_path, payload):
                      + zlib.compress(json.dumps(payload).encode("utf-8")))
     with pytest.raises(DataError):
         load_cache(path)
+
+
+# --------------------------------------------- version 3 members, seeded
+
+_WORDS = ["oak", "mill", "são", "zürich", "new", "river", "köln", "avadi",
+          "north", "park", "東京", "st."]
+_CATEGORIES = ["road", "street", "school"]
+
+
+def _random_entry(rng, entry_id, name):
+    source = rng.choice(["osm", "geonames", "dbpedia", "generic"])
+    return GazetteerEntry(
+        id=f"{source}:{entry_id}", canonical_name=name,
+        latitude=rng.choice([None, rng.uniform(-90, 90), 0.1 + 0.2]),
+        longitude=rng.choice([None, rng.uniform(-180, 180), -0.0]),
+        source=source,
+        extra=rng.choice([{}, {"country_code": "IN"},
+                          {"note": "café ☕", "rank": [1, 2.5, None]}]))
+
+
+def _random_gazetteer(rng):
+    entries = []
+    for i in range(rng.randint(1, 60)):
+        base = " ".join(rng.choice(_WORDS).title()
+                        for _ in range(rng.randint(1, 4)))
+        shape = rng.random()
+        if shape < 0.25:
+            name = f"{base} {rng.choice(_CATEGORIES).title()}"
+        elif shape < 0.4:
+            name = f"{base} ({rng.choice(_WORDS)})"
+        elif shape < 0.55:
+            name = f"{base} - {rng.choice(_WORDS).title()}"
+        else:
+            name = base
+        entries.append(_random_entry(rng, i, name))
+    shared = rng.choice(_WORDS).title() + " Road"
+    entries += [_random_entry(rng, f"shared{k}", shared)
+                for k in range(rng.randint(1, 100))]
+    return build_gazetteer(entries, stopname_list=[rng.choice(_WORDS)],
+                           phrase_list=["historical"],
+                           category_words=_CATEGORIES)
+
+
+def test_v3_round_trip_matches_built_gazetteer(tmp_path):
+    rng = random.Random(31)
+    path = tmp_path / "model.lspc"
+    kinds, widest = set(), 0
+    for _ in range(150):
+        built = _random_gazetteer(rng)
+        save_cache(path, built, None)
+        loaded, _ = load_cache(path)
+
+        assert {s: (v.kind, v.entry_ids) for s, v in loaded.variants.items()} \
+            == {s: (v.kind, v.entry_ids) for s, v in built.variants.items()}
+        assert dict(loaded.entries) == dict(built.entries)
+        assert loaded.category_words == built.category_words
+        assert loaded.stopnames == built.stopnames
+        kinds |= {v.kind for v in built.variants.values()}
+        widest = max(widest, *(len(v.entry_ids)
+                               for v in built.variants.values()))
+    assert kinds == set(KIND_CODES)
+    assert widest >= 100
+
+
+def _members(path):
+    blob = path.read_bytes()
+    reader = zlib.decompressobj()
+    index = json.loads(reader.decompress(blob[5:]))
+    return index, json.loads(zlib.decompress(reader.unused_data))
+
+
+def _write_members(path, index, columns):
+    path.write_bytes(MAGIC + bytes([VERSION])
+                     + zlib.compress(json.dumps(index).encode("utf-8"))
+                     + zlib.compress(json.dumps(columns).encode("utf-8")))
+
+
+def test_version_2_cache_rejected(tmp_path, mini_gazetteer, mini_model):
+    path = tmp_path / "model.lspc"
+    save_cache(path, mini_gazetteer, mini_model)
+    blob = bytearray(path.read_bytes())
+    blob[4] = 2
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError,
+                       match="unsupported cache version 2.*rebuild it"):
+        load_cache(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("surfaces", lambda v: v[:-1], "malformed cache payload.*zip"),
+    ("kinds", lambda v: v + [0], "malformed cache payload.*zip"),
+    ("kinds", lambda v: [7] + v[1:], "unknown variant kind code 7"),
+    ("entry_indices", lambda v: [[-1]] + v[1:], "entry index -1 out of range"),
+    ("entry_indices", lambda v: [[16]] + v[1:], "entry index 16 out of range"),
+])
+def test_malformed_index_member_rejected(tmp_path, mini_gazetteer, mini_model,
+                                          field, value, message):
+    path = tmp_path / "model.lspc"
+    save_cache(path, mini_gazetteer, mini_model)
+    index, columns = _members(path)
+    index[field] = value(index[field])
+    _write_members(path, index, columns)
+    with pytest.raises(DataError, match=message):
+        load_cache(path)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda columns: {**columns, "lat": columns["lat"][:-1]},
+    lambda columns: {**columns, "name": columns["name"] + ["Extra"]},
+    lambda columns: {k: v for k, v in columns.items() if k != "source"},
+])
+def test_malformed_entries_member_raises_on_first_access(
+        tmp_path, mini_gazetteer, mini_model, damage):
+    path = tmp_path / "model.lspc"
+    save_cache(path, mini_gazetteer, mini_model)
+    index, columns = _members(path)
+    _write_members(path, index, damage(columns))
+    gazetteer, _ = load_cache(path)
+    assert gazetteer.variants["houston"].entry_ids == {"g5"}
+    with pytest.raises(DataError, match="model.lspc"):
+        gazetteer.entries["g9"]
+
+
+def test_corrupt_entries_member_raises_on_first_access(
+        tmp_path, mini_gazetteer, mini_model):
+    path = tmp_path / "model.lspc"
+    save_cache(path, mini_gazetteer, mini_model)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-12] + bytes(12))
+    gazetteer, _ = load_cache(path)
+    with pytest.raises(DataError, match="model.lspc: corrupt cache entries"):
+        len(gazetteer.entries)

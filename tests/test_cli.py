@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import select
 import subprocess
 import sys
 import zlib
@@ -7,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from locspot import load_cache
 from locspot.cache import MAGIC, VERSION
+from locspot.cli import MAX_TEXT_CHARS
+from locspot.errors import DataError
 
 DATA = Path(__file__).parent / "data"
 CONFIG = DATA / "config.json"
@@ -156,6 +161,56 @@ def test_extract_worker_lanes_bit_identical(cache_path):
     single = extract_lines(cache_path, stdin, "--workers", "1")
     quad = extract_lines(cache_path, stdin, "--workers", "4")
     assert single == quad
+
+
+def test_extract_flushes_when_input_is_idle(cache_path):
+    # stdin stays open: the record must arrive without an end of stream,
+    # from a child whose stdout is block-buffered as on any pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen(
+            [sys.executable, "-m", "locspot", "--model-cache",
+             str(cache_path), "extract"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, env=env) as proc:
+        try:
+            proc.stdin.write(b'{"id": "live", "text": "Houston is flooded"}\n')
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            assert ready, "no record within 10 s while stdin stayed open"
+            record = json.loads(proc.stdout.readline())
+        finally:
+            proc.kill()
+    assert record["id"] == "live"
+    assert record["mentions"][0]["matched_name"] == "houston"
+
+
+def test_extract_caps_text_length(cache_path):
+    stdin = "".join(json.dumps({"id": record_id, "text": text}) + "\n"
+                    for record_id, text in [
+                        ("at_cap", "a" * MAX_TEXT_CHARS),
+                        ("long", "Houston " + "a" * MAX_TEXT_CHARS),
+                        ("next", "Houston is flooded"),
+                    ])
+    records = [json.loads(line) for line in extract_lines(cache_path, stdin)]
+    assert records[0] == {"id": "at_cap", "mentions": []}
+    assert records[1] == {"id": "long", "mentions": [],
+                          "error": "text longer than 100000 characters"}
+    assert records[2]["mentions"][0]["matched_name"] == "houston"
+
+
+def test_extract_ignores_corrupt_entries_member(cache_path, tmp_path):
+    blob = cache_path.read_bytes()
+    reader = zlib.decompressobj()
+    reader.decompress(blob[5:])
+    start = len(blob) - len(reader.unused_data)
+    corrupt = tmp_path / "corrupt.lspc"
+    corrupt.write_bytes(blob[:start] + bytes(len(blob) - start))
+
+    stdin = GOLDEN.read_text(encoding="utf-8")
+    assert extract_lines(corrupt, stdin) == extract_lines(cache_path, stdin)
+    gazetteer, _ = load_cache(corrupt)
+    with pytest.raises(DataError, match="corrupt.lspc"):
+        gazetteer.entries["generic:g9"]
 
 
 def test_extract_missing_cache_nonzero_exit(tmp_path):
