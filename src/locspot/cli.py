@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import multiprocessing
 import select
@@ -172,7 +173,15 @@ def _make_extractor(args, config) -> LocationExtractor:
 
 def cmd_extract(args) -> int:
     config = _load_config(args)
-    extractor = _make_extractor(args, config)
+    # loading allocates ~10^5 long-lived containers: full collections
+    # over the growing heap would scan them repeatedly, and once frozen
+    # no later collection (in this process or a forked lane) scans them
+    gc.disable()
+    try:
+        extractor = _make_extractor(args, config)
+    finally:
+        gc.freeze()
+        gc.enable()
     if hasattr(sys.stdin, "reconfigure"):
         sys.stdin.reconfigure(errors="replace")  # bad bytes must not abort
     lines = 0

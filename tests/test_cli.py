@@ -20,9 +20,11 @@ GOLDEN = DATA / "golden_tweets.jsonl"
 
 
 def run_cli(*args, stdin=""):
+    # block-buffered stdout as on any pipe, whatever the caller's shell sets
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run(
         [sys.executable, "-m", "locspot", *args],
-        input=stdin, capture_output=True, text=True)
+        input=stdin, capture_output=True, text=True, env=env)
 
 
 @pytest.fixture(scope="module")

@@ -137,3 +137,94 @@ def test_matches_reference_corrector():
             assert got.candidates(token) == want.candidates(token), case
             assert got.correct(token) == want.correct(token), case
         cases += len(tokens)
+
+
+def _random_text(rng, alphabet, shortest, longest):
+    return "".join(rng.choice(alphabet)
+                   for _ in range(rng.randint(shortest, longest)))
+
+
+def _edited(rng, word, alphabet):
+    """word after one to four random edits, transpositions included."""
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randint(0, len(word))
+        kind = rng.choice(("delete", "insert", "substitute", "transpose",
+                           "repeat"))
+        if kind == "insert":
+            word = word[:i] + rng.choice(alphabet) + word[i:]
+        elif i == len(word):
+            continue
+        elif kind == "delete":
+            word = word[:i] + word[i + 1:]
+        elif kind == "substitute":
+            word = word[:i] + rng.choice(alphabet) + word[i + 1:]
+        elif kind == "repeat":
+            word = word[:i] + word[i] * rng.randint(2, 3) + word[i + 1:]
+        elif i + 1 < len(word):
+            word = word[:i] + word[i + 1] + word[i] + word[i + 2:]
+    return word
+
+
+def test_edit_distance_matches_oracle():
+    rng = random.Random(23)
+    pairs = [("", ""), ("", "a"), ("abc", ""), ("ab", "ba"), ("ca", "abc"),
+             ("aaaa", "aa"), ("abab", "baba")]
+    for _ in range(6000):
+        alphabet = rng.choice(("ab", "abc", "abcdefghijklmnopqrstuvwxyz"))
+        a = _random_word(rng, alphabet, 12)
+        b = (_edited(rng, a, alphabet) if rng.random() < 0.6
+             else _random_word(rng, alphabet, 12))
+        pairs.append((a, b))
+    for _ in range(150):
+        # past one 64-bit word: the bit vectors are plain Python ints
+        alphabet = rng.choice(("ab", "abcd", "abcdefghij"))
+        a = _random_text(rng, alphabet, 65, 80)
+        b = (_edited(rng, a, alphabet) if rng.random() < 0.6
+             else _random_text(rng, alphabet, 65, 80))
+        pairs.append((a, b))
+    for a, b in pairs:
+        want = levenshtein_damerau(a, b)
+        assert spelling.edit_distance(a, b) == want, (a, b)
+        assert spelling.edit_distance(b, a) == want, (b, a)
+
+
+def _assert_matches_reference(rng, words, tokens, distance):
+    vocabulary = ({w: rng.randint(1, 4) for w in words}
+                  if rng.random() < 0.5 else set(words))
+    got = SymmetricDeleteCorrector(vocabulary, distance)
+    want = ReferenceSymmetricDeleteCorrector(vocabulary, distance)
+    for token in tokens:
+        case = (sorted(words), token, distance)
+        assert got.candidates(token) == want.candidates(token), case
+        assert got.correct(token) == want.correct(token), case
+
+
+def test_long_words_match_reference_corrector():
+    # words longer than the indexed prefix: candidates differing from the
+    # token only past it, or in both the prefix and the rest
+    rng = random.Random(29)
+    for _ in range(150):
+        words = [_random_text(rng, "abc", 8, 14)
+                 for _ in range(rng.randint(1, 25))]
+        distance = rng.randint(1, 3)
+        tokens = [rng.choice(words)] + [
+            _edited(rng, rng.choice(words), "abcd")[:16] for _ in range(12)]
+        tokens += [_random_word(rng, "abc", 16) for _ in range(3)]
+        _assert_matches_reference(rng, words, tokens, distance)
+
+
+def test_prefix_is_exact_beyond_default_length():
+    # at distances 7 and 8 the indexed prefix must outgrow PREFIX_LENGTH:
+    # a token whose first 7 characters all differ still has to be found
+    rng = random.Random(31)
+    for distance in (7, 8):
+        for _ in range(4):
+            words = [_random_text(rng, "abc", 9, 12)
+                     for _ in range(rng.randint(3, 8))]
+            tokens = []
+            for _ in range(6):
+                word = rng.choice(words)
+                cut = rng.randint(1, distance)
+                tokens.append(_random_text(rng, "xyz", cut, cut) + word[cut:])
+                tokens.append(_edited(rng, word, "abcx"))
+            _assert_matches_reference(rng, words, tokens, distance)
