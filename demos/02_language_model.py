@@ -7,9 +7,11 @@ a token sequence is "valid" when its order-two chain probability is
 nonzero. No smoothing: unseen transitions are exactly zero, and that
 zero is the signal separating location names from everything else.
 
-The language model scores; extraction prunes with the prefix index
-(model.prefixes, every proper token prefix of a variant), which keeps
-exactly the sequences that can still grow into a variant.
+The language model scores; extraction prunes with the proper token
+prefixes of the variants (model.prefixes here), which keep exactly the
+sequences that can still grow into a variant. Extraction itself reads
+them as a PREFIX flag in the gazetteer's variant index, one dict probe
+per sequence.
 """
 
 from locspot import (

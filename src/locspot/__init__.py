@@ -38,6 +38,7 @@ from .gazetteer import (
     Gazetteer,
     GazetteerEntry,
     NameVariant,
+    VariantIndex,
     build_gazetteer,
     filter_entry,
     load_gazetteer,
@@ -81,6 +82,7 @@ __all__ = [
     "Token",
     "TokenSynonymVector",
     "TweetDocument",
+    "VariantIndex",
     "aggregate",
     "build_gazetteer",
     "clean_tweet",

@@ -12,11 +12,15 @@ identical inputs always produce byte-identical cache files.
 2. The entries member holds the columns `name`, `lat`, `lon`, `source`
    and `extra`, each parallel to `ids`.
 
-load_cache decodes the index member only. The entries member stays
+load_cache decodes the index member only and checks every column of
+it: kind codes, entry positions (integers, in range, increasing within
+a row), sorted distinct ids, distinct surfaces and parallel lengths.
+The columns become the gazetteer's VariantIndex as they are; its
+NameVariants are built only when read. The entries member stays
 compressed until Gazetteer.entries is first read, which extraction
 never does. The language model is a pure function of the variants and
-is derived on load. A cache of any other version is rejected and must
-be rebuilt.
+derives its tables on first use. A cache of any other version is
+rejected and must be rebuilt.
 """
 
 from __future__ import annotations
@@ -25,23 +29,20 @@ import json
 import zlib
 from collections.abc import Mapping
 from functools import cached_property
+from operator import lt
 from pathlib import Path
 
 from .errors import DataError
 from .gazetteer import (
-    BRACKET_ALTERNATIVE,
-    HYPHEN_SPLIT,
-    ORIGINAL,
-    SKIPGRAM,
+    KIND_CODES,
     Gazetteer,
     GazetteerEntry,
-    NameVariant,
+    VariantIndex,
 )
 from .langmodel import CompiledModel, compute_model
 
 MAGIC = b"LSPC"
 VERSION = 3
-KIND_CODES = (ORIGINAL, SKIPGRAM, BRACKET_ALTERNATIVE, HYPHEN_SPLIT)
 _COLUMNS = ("name", "lat", "lon", "source", "extra")
 
 
@@ -56,17 +57,13 @@ def save_cache(path, gazetteer: Gazetteer, model: CompiledModel):
 
     The model is not stored, because load_cache derives it on load.
     """
-    ids = sorted(gazetteer.entries)
-    position = {entry_id: i for i, entry_id in enumerate(ids)}
-    code = {kind: i for i, kind in enumerate(KIND_CODES)}
-    surfaces = sorted(gazetteer.variants)
-    variants = [gazetteer.variants[surface] for surface in surfaces]
+    variants = gazetteer.variants
+    ids = variants.ids
     index = {
         "ids": ids,
-        "surfaces": surfaces,
-        "kinds": [code[v.kind] for v in variants],
-        "entry_indices": [sorted(position[e] for e in v.entry_ids)
-                          for v in variants],
+        "surfaces": variants.surfaces,
+        "kinds": variants.kinds,
+        "entry_indices": variants.entry_indices,
         "category_words": sorted(gazetteer.category_words),
         "stopnames": sorted(gazetteer.stopnames),
     }
@@ -112,23 +109,33 @@ class _CachedEntries(Mapping):
         return len(self._entries)
 
 
-def _variants(path, index) -> dict[str, NameVariant]:
-    surfaces, codes = index["surfaces"], index["kinds"]
-    positions = index["entry_indices"]
-    kind_of = dict(enumerate(KIND_CODES))
-    entry_of = dict(enumerate(index["ids"]))
-    try:
-        kinds = [kind_of[code] for code in codes]
-    except KeyError as exc:
-        raise DataError(f"{path}: unknown variant kind code {exc}") from None
-    try:
-        entry_ids = [{entry_of[i] for i in p} for p in positions]
-    except KeyError as exc:
-        raise DataError(f"{path}: entry index {exc} out of range") from None
-    return {
-        surface: NameVariant(surface, kind, ids)
-        for surface, kind, ids in zip(surfaces, kinds, entry_ids, strict=True)
-    }
+def _bad_position(surface, i, count) -> str:
+    if type(i) is not int:
+        return f"entry index {i!r} of {surface!r} is not an integer"
+    if not 0 <= i < count:
+        return f"entry index {i} out of range"
+    return f"entry indices of {surface!r} are not increasing"
+
+
+def _variants(path, index) -> VariantIndex:
+    """Check the variant columns of the index member, then index them."""
+    ids, surfaces = index["ids"], index["surfaces"]
+    kinds, positions = index["kinds"], index["entry_indices"]
+    known = range(len(KIND_CODES))
+    if not (set(map(type, kinds)) <= {int} and set(kinds) <= set(known)):
+        code = next(c for c in kinds if type(c) is not int or c not in known)
+        raise DataError(f"{path}: unknown variant kind code {code!r}")
+    if not all(map(lt, ids, ids[1:])):
+        raise DataError(f"{path}: entry ids are not sorted and distinct")
+    count = len(ids)
+    # zip(strict=True) also checks that each column has one row per surface
+    for surface, _, row in zip(surfaces, kinds, positions, strict=True):
+        previous = -1
+        for i in row:
+            if type(i) is not int or not previous < i < count:
+                raise DataError(f"{path}: {_bad_position(surface, i, count)}")
+            previous = i
+    return VariantIndex(ids, surfaces, kinds, positions)
 
 
 def load_cache(path) -> tuple[Gazetteer, CompiledModel]:

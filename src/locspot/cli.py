@@ -173,9 +173,11 @@ def _make_extractor(args, config) -> LocationExtractor:
 
 def cmd_extract(args) -> int:
     config = _load_config(args)
-    # loading allocates ~10^5 long-lived containers: full collections
-    # over the growing heap would scan them repeatedly, and once frozen
-    # no later collection (in this process or a forked lane) scans them
+    # loading keeps one entry-position list per variant, and spelling
+    # adds one list per index bucket, all long-lived (5 * 10^4 to 1.5 *
+    # 10^5 containers on 30k-50k variants): full collections over the
+    # growing heap would scan them repeatedly, and once frozen no later
+    # collection (in this process or a forked lane) scans them
     gc.disable()
     try:
         extractor = _make_extractor(args, config)

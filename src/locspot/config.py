@@ -17,13 +17,16 @@ Relative gazetteer and asset paths resolve against the config file's
 directory. Unlisted assets fall back to the packaged data files (or the
 LOCSPOT_DATA directory when that environment variable is set).
 spelling_correction must be a JSON boolean; a string such as "false"
-is rejected rather than read as true. A value of the wrong shape or
-type, or a max_edit_distance or workers below 1, raises ConfigError.
+is rejected rather than read as true. max_edit_distance and workers
+must be JSON integers of at least 1 (2.5, "3" and true are rejected,
+not rounded or converted), and partial_tp_credit a finite number in
+[0, 1]. A value of the wrong shape or type raises ConfigError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -122,16 +125,12 @@ class PipelineConfig:
         if not isinstance(config.spelling_correction, bool):
             raise ConfigError("spelling_correction must be true or false, got "
                               f"{config.spelling_correction!r}")
-        config.max_edit_distance = _number(raw, "max_edit_distance", int, 2)
-        if config.max_edit_distance < 1:
-            raise ConfigError("max_edit_distance must be a positive integer")
-        config.partial_tp_credit = _number(raw, "partial_tp_credit", float, 0.0)
+        config.max_edit_distance = _positive_int(raw, "max_edit_distance", 2)
+        config.partial_tp_credit = _credit(raw, "partial_tp_credit")
         config.eval_mode = raw.get("eval_mode", "standard")
         if config.eval_mode not in MODES:
             raise ConfigError(f"unknown eval_mode: {config.eval_mode!r}")
-        config.workers = _number(raw, "workers", int, 1)
-        if config.workers < 1:
-            raise ConfigError("workers must be a positive integer")
+        config.workers = _positive_int(raw, "workers", 1)
         return config
 
     def asset(self, key: str) -> Path:
@@ -147,9 +146,17 @@ def _relative_path(value, what) -> str:
     return value
 
 
-def _number(raw: dict, key: str, kind, default):
+def _positive_int(raw: dict, key: str, default: int) -> int:
     value = raw.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    # bool is a subclass of int, and true is not a count
+    if type(value) is not int or value < 1:
+        raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
+def _credit(raw: dict, key: str) -> float:
+    value = raw.get(key, 0.0)
+    if (type(value) not in (int, float) or not math.isfinite(value)
+            or not 0 <= value <= 1):
+        raise ConfigError(f"{key} must be a number in [0, 1], got {value!r}")
+    return float(value)

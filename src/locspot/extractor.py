@@ -6,8 +6,10 @@ a bottom-up tree glues consecutive tokens into longer sequences, keeping
 only those that are a proper prefix of some gazetteer variant (the
 same candidates as language-model pruning; see find_valid_ngrams).
 Sequences whose surface is an actual gazetteer variant become
-candidates; overlap resolution prefers the longest mentions and links
-every survivor to its gazetteer entries by dictionary lookup.
+candidates. Both tests read one code from the gazetteer's VariantIndex,
+a single dict probe per sequence. Overlap resolution prefers the longest
+mentions and links every survivor to the entry ids of its variant's
+row, which the index keeps sorted.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .assets import (
     read_pair_table,
     read_word_list,
 )
+from .gazetteer import PREFIX, VARIANT
 from .segmenter import SegmenterDictionary
 from .spelling import SymmetricDeleteCorrector
 
@@ -123,10 +126,11 @@ def find_valid_ngrams(fragment, model, gazetteer, stats=None) -> set[Candidate]:
     Level 1 keeps every alternative in the model's vocabulary; level k
     glues a level-(k-1) sequence with an adjacent level-1 alternative.
     A sequence becomes a candidate when its surface is a gazetteer
-    variant and is extended only while its surface is in
-    model.prefixes. Every prefix of a variant has nonzero bigram and
-    trigram counts, so this keeps exactly the candidates that pruning
-    by the language model keeps, and it is the tightest filter that does.
+    variant and is extended only while its surface is a proper token
+    prefix of one; one lookup in gazetteer.variants.codes answers both.
+    Every prefix of a variant has nonzero bigram and trigram counts, so
+    this keeps exactly the candidates that pruning by the language model
+    keeps, and it is the tightest filter that does.
     """
     n = len(fragment)
     if n == 0:
@@ -137,9 +141,9 @@ def find_valid_ngrams(fragment, model, gazetteer, stats=None) -> set[Candidate]:
             max(len(v.alternatives) for v in fragment),
         )
 
-    prefixes = model.prefixes
-    variants = gazetteer.variants
-    level1 = [[a for a in vector.alternatives if a in model.vocabulary]
+    codes = gazetteer.variants.codes
+    vocabulary = model.vocabulary
+    level1 = [[a for a in vector.alternatives if a in vocabulary]
               for vector in fragment]
 
     candidates: set[Candidate] = set()
@@ -158,9 +162,10 @@ def find_valid_ngrams(fragment, model, gazetteer, stats=None) -> set[Candidate]:
                     if stats is not None:
                         stats.count(start, end)
                     surface = f"{head} {alt}" if head else alt
-                    if surface in variants:
+                    code = codes.get(surface, 0)
+                    if code & VARIANT:
                         candidates.add(Candidate(start, end, surface))
-                    if surface in prefixes:
+                    if code & PREFIX:
                         grown.append(surface)
             if grown:
                 extended[start] = grown
@@ -176,8 +181,9 @@ def resolve_overlaps(candidates, gazetteer, tokens, raw) -> list[LocationMention
 
     A candidate survives unless a strictly longer surviving candidate
     overlaps it; equal-length overlapping mentions all survive. Each
-    survivor links to its gazetteer entries and reports offsets taken
-    from the tweet's own tokens (never from expanded forms).
+    survivor links to its gazetteer entries, in sorted order, and
+    reports offsets taken from the tweet's own tokens (never from
+    expanded forms).
     """
     ordered = sorted(candidates, key=lambda c: (-c.length(), c.start, c.surface))
     kept: list[Candidate] = []
@@ -187,6 +193,7 @@ def resolve_overlaps(candidates, gazetteer, tokens, raw) -> list[LocationMention
             continue
         kept.append(candidate)
 
+    variants = gazetteer.variants
     mentions = []
     for candidate in kept:
         span = tokens[candidate.start:candidate.end]
@@ -197,13 +204,12 @@ def resolve_overlaps(candidates, gazetteer, tokens, raw) -> list[LocationMention
             surface = " ".join(t.surface for t in span)
         else:
             surface = raw[char_start:char_end]
-        variant = gazetteer.variants[candidate.surface]
         mentions.append(LocationMention(
             surface=surface,
             matched_name=candidate.surface,
             char_start=char_start,
             char_end=char_end,
-            entry_ids=tuple(sorted(variant.entry_ids)),
+            entry_ids=variants.entry_ids(candidate.surface),
             from_hashtag=from_hashtag,
         ))
     mentions.sort(key=lambda m: (m.char_start, m.matched_name))

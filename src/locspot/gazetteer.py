@@ -9,6 +9,10 @@ The index is built in one pass: a hyphen split that is also some
 entry's original name is dropped with its skip-grams, every other
 surface merges in (entry ids unioned, lowest kind rank kept, so entry
 order does not matter), and stop-names are never inserted.
+
+The variants are held as columns (VariantIndex), the same ones the
+model cache stores, plus one surface -> code dict that extraction
+probes; a NameVariant is built only when one is read.
 """
 
 from __future__ import annotations
@@ -36,6 +40,14 @@ HYPHEN_SPLIT = "hyphen_split"
 # precedence when a surface is produced more than once; lower wins
 _KIND_RANK = {ORIGINAL: 0, BRACKET_ALTERNATIVE: 1, HYPHEN_SPLIT: 2, SKIPGRAM: 3}
 
+# a variant's kind code is the kind's position here
+KIND_CODES = (ORIGINAL, SKIPGRAM, BRACKET_ALTERNATIVE, HYPHEN_SPLIT)
+_KIND_CODE = {kind: code for code, kind in enumerate(KIND_CODES)}
+
+# flags of a VariantIndex code; the bits above them hold the row
+VARIANT = 1
+PREFIX = 2
+
 _BRACKET_RE = re.compile(r"\(([^()]*)\)")
 _WS_RE = re.compile(r"\s+")
 
@@ -61,6 +73,67 @@ class NameVariant:
     entry_ids: set[str]
 
 
+class VariantIndex(Mapping):
+    """Read-only surface -> NameVariant mapping over four columns.
+
+    ids holds the entry ids, sorted; surfaces the variant surfaces, with
+    kinds (kind codes) and entry_indices (each row's entry ids as
+    increasing positions in ids) parallel to it. codes maps each
+    surface, and each proper token prefix of one ("new avadi" for "new
+    avadi road"), to row << 2 | VARIANT | PREFIX, with the flags that
+    apply; extraction probes nothing else. Reading an item builds a
+    fresh NameVariant.
+    """
+
+    def __init__(self, ids, surfaces, kinds, entry_indices):
+        self.ids = ids
+        self.surfaces = surfaces
+        self.kinds = kinds
+        self.entry_indices = entry_indices
+        # row << 2 | VARIANT for rows 0, 1, 2, ...
+        codes = dict(zip(surfaces, range(VARIANT, 4 * len(surfaces), 4)))
+        if len(codes) != len(surfaces):
+            raise ValueError("variant surfaces are not distinct")
+        for surface in surfaces:
+            # mark proper prefixes from the longest down; a prefix that
+            # is already marked had all of its own prefixes marked then
+            cut = surface.rfind(" ")
+            while cut > 0:
+                surface = surface[:cut]
+                code = codes.get(surface, 0)
+                if code & PREFIX:
+                    break
+                codes[surface] = code | PREFIX
+                cut = surface.rfind(" ")
+        self.codes = codes
+
+    def _row(self, surface) -> int:
+        code = self.codes.get(surface, 0)
+        if not code & VARIANT:
+            raise KeyError(surface)
+        return code >> 2
+
+    def entry_ids(self, surface) -> tuple[str, ...]:
+        """The variant's entry ids in sorted order."""
+        ids = self.ids
+        return tuple([ids[i] for i in self.entry_indices[self._row(surface)]])
+
+    def __getitem__(self, surface) -> NameVariant:
+        row = self._row(surface)
+        ids = self.ids
+        return NameVariant(surface, KIND_CODES[self.kinds[row]],
+                           {ids[i] for i in self.entry_indices[row]})
+
+    def __contains__(self, surface) -> bool:
+        return bool(self.codes.get(surface, 0) & VARIANT)
+
+    def __iter__(self):
+        return iter(self.surfaces)
+
+    def __len__(self) -> int:
+        return len(self.surfaces)
+
+
 @dataclass
 class Gazetteer:
     """Immutable-after-build name index used for matching and linking.
@@ -69,7 +142,7 @@ class Gazetteer:
     first access, because extraction reads only the variants.
     """
 
-    variants: dict[str, NameVariant]
+    variants: VariantIndex
     entries: Mapping[str, GazetteerEntry]
     category_words: frozenset[str]
     stopnames: frozenset[str]
@@ -264,7 +337,9 @@ def build_gazetteer(entries, stopname_list, phrase_list, category_words) -> Gaze
     variants as a skipgram; a surface produced more than once merges
     the entry ids, and the lowest kind rank wins (original, bracket
     alternative, hyphen split, skipgram). A surface on the stop-name
-    list is never added and is reported in stopnames instead.
+    list is never added and is reported in stopnames instead. The
+    variants come back as a VariantIndex over the sorted surfaces and
+    the sorted entry ids.
     """
     stopnames = {normalize_surface(s) for s in stopname_list}
     categories = frozenset(normalize_surface(c) for c in category_words)
@@ -277,44 +352,55 @@ def build_gazetteer(entries, stopname_list, phrase_list, category_words) -> Gaze
             raise GazetteerFormatError(f"duplicate entry id: {entry.id!r}")
         entry_index[entry.id] = entry
 
+    ids = sorted(entry_index)
+    position = {entry_id: i for i, entry_id in enumerate(ids)}
     phrases = _phrase_set(phrase_list)
     filtered = {
-        entry.id: _filter_entry(entry.canonical_name, phrases)
+        position[entry.id]: _filter_entry(entry.canonical_name, phrases)
         for entry in entry_index.values()
     }
     originals = {surface for surfaces in filtered.values()
                  for surface, kind in surfaces if kind == ORIGINAL}
 
-    variants: dict[str, NameVariant] = {}
+    # surface -> [kind, positions of its entries]
+    merged: dict[str, list] = {}
     removed: set[str] = set()
 
-    def _add(surface, kind, entry_id):
+    def _add(surface, kind, at):
         if surface in stopnames:
             removed.add(surface)
             return
-        existing = variants.get(surface)
+        existing = merged.get(surface)
         if existing is None:
-            variants[surface] = NameVariant(surface, kind, {entry_id})
+            merged[surface] = [kind, {at}]
             return
-        existing.entry_ids.add(entry_id)
-        if _KIND_RANK[kind] < _KIND_RANK[existing.kind]:
-            existing.kind = kind
+        existing[1].add(at)
+        if _KIND_RANK[kind] < _KIND_RANK[existing[0]]:
+            existing[0] = kind
 
-    for entry_id, surfaces in filtered.items():
+    for at, surfaces in filtered.items():
         for surface, kind in surfaces:
             if kind == HYPHEN_SPLIT and surface in originals:
                 continue
-            _add(surface, kind, entry_id)
+            _add(surface, kind, at)
             for variant in skipgram_variants(surface.split(), categories):
                 if variant != surface:
-                    _add(variant, SKIPGRAM, entry_id)
+                    _add(variant, SKIPGRAM, at)
 
-    if not variants:
+    if not merged:
         log.warning("gazetteer is empty after filtering; extraction will "
                     "find nothing")
 
+    surfaces = sorted(merged)
+    kinds, entry_indices = [], []
+    for surface in surfaces:
+        # popping frees each set before the code dict is built
+        kind, positions = merged.pop(surface)
+        kinds.append(_KIND_CODE[kind])
+        entry_indices.append(sorted(positions))
+    merged.clear()  # releases the emptied table as well
     return Gazetteer(
-        variants=variants,
+        variants=VariantIndex(ids, surfaces, kinds, entry_indices),
         entries=entry_index,
         category_words=categories,
         stopnames=frozenset(removed),

@@ -10,8 +10,10 @@ with every conditional estimated as the ratio of collocation counts.
 There is no smoothing: a sequence containing any unseen transition has
 probability exactly zero, which is the validity signal.
 
-Only the vocabulary and prefix index that extraction reads are eager;
-counts and MLE tables are derived from the variants on first access.
+Nothing is computed up front: the vocabulary, the prefix set, the
+counts and the MLE tables are each derived from the variant surfaces on
+first access. Extraction reads only the vocabulary; it probes the
+gazetteer's VariantIndex codes instead of the prefix set.
 """
 
 from __future__ import annotations
@@ -36,18 +38,24 @@ class NGramCounts:
 
 
 class CompiledModel:
-    """Vocabulary, prefix index, and lazily derived n-gram tables.
+    """Vocabulary, prefix set, and n-gram tables, derived on first use.
 
     prefixes holds every proper token prefix of a surface, joined by
     single spaces ("new avadi" for "new avadi road"). Shareable across
-    any number of concurrent readers once built.
+    any number of concurrent readers.
     """
 
     def __init__(self, surfaces):
         self.surfaces = surfaces
-        self.vocabulary = frozenset(w for s in surfaces for w in s.split())
-        self.prefixes = frozenset(
-            " ".join(tokens[:k]) for tokens in map(str.split, surfaces)
+
+    @cached_property
+    def vocabulary(self) -> frozenset[str]:
+        return frozenset(" ".join(self.surfaces).split())
+
+    @cached_property
+    def prefixes(self) -> frozenset[str]:
+        return frozenset(
+            " ".join(tokens[:k]) for tokens in map(str.split, self.surfaces)
             for k in range(1, len(tokens)))
 
     @cached_property

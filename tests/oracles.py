@@ -11,6 +11,7 @@ import re
 
 from locspot import textprep
 from locspot.errors import GazetteerFormatError
+from locspot.extractor import Candidate, LocationMention
 from locspot.gazetteer import (
     _BRACKET_RE,
     _KIND_RANK,
@@ -522,3 +523,100 @@ def reference_segment(dictionary, text: str) -> tuple[str, ...]:
             candidates.append((logp, prev[1] - 1, prev[2] + (word,)))
         best.append(max(candidates, key=lambda c: (c[0], c[1])))
     return best[n][2]
+
+
+# The former find_valid_ngrams and resolve_overlaps, copied verbatim:
+# two probes per n-gram attempt, one in model.prefixes and one in
+# gazetteer.variants, and entry ids sorted from each variant's set.
+def reference_find_valid_ngrams(fragment, model, gazetteer, stats=None) -> set[Candidate]:
+    """Bottom-up assembly of valid n-grams over one fragment.
+
+    Level 1 keeps every alternative in the model's vocabulary; level k
+    glues a level-(k-1) sequence with an adjacent level-1 alternative.
+    A sequence becomes a candidate when its surface is a gazetteer
+    variant and is extended only while its surface is in
+    model.prefixes. Every prefix of a variant has nonzero bigram and
+    trigram counts, so this keeps exactly the candidates that pruning
+    by the language model keeps, and it is the tightest filter that does.
+    """
+    n = len(fragment)
+    if n == 0:
+        return set()
+    if stats is not None:
+        stats.max_vector_len = max(
+            stats.max_vector_len,
+            max(len(v.alternatives) for v in fragment),
+        )
+
+    prefixes = model.prefixes
+    variants = gazetteer.variants
+    level1 = [[a for a in vector.alternatives if a in model.vocabulary]
+              for vector in fragment]
+
+    candidates: set[Candidate] = set()
+    # surfaces by start position, of the current length, that can still
+    # grow; level 1 grows each start from the empty surface
+    active: dict[int, list[str]] = {i: [""] for i in range(n)}
+    for length in range(1, n + 1):
+        extended: dict[int, list[str]] = {}
+        for start, heads in active.items():
+            end = start + length
+            if end > n:
+                continue
+            grown = []
+            for head in heads:
+                for alt in level1[end - 1]:
+                    if stats is not None:
+                        stats.count(start, end)
+                    surface = f"{head} {alt}" if head else alt
+                    if surface in variants:
+                        candidates.add(Candidate(start, end, surface))
+                    if surface in prefixes:
+                        grown.append(surface)
+            if grown:
+                extended[start] = grown
+        if not extended:
+            break
+        active = extended
+
+    return candidates
+
+
+def reference_resolve_overlaps(candidates, gazetteer, tokens, raw) -> list[LocationMention]:
+    """Keep the longest mentions among overlapping candidates.
+
+    A candidate survives unless a strictly longer surviving candidate
+    overlaps it; equal-length overlapping mentions all survive. Each
+    survivor links to its gazetteer entries and reports offsets taken
+    from the tweet's own tokens (never from expanded forms).
+    """
+    ordered = sorted(candidates, key=lambda c: (-c.length(), c.start, c.surface))
+    kept: list[Candidate] = []
+    for candidate in ordered:
+        if any(other.length() > candidate.length() and other.overlaps(candidate)
+               for other in kept):
+            continue
+        kept.append(candidate)
+
+    mentions = []
+    for candidate in kept:
+        span = tokens[candidate.start:candidate.end]
+        char_start = span[0].start
+        char_end = span[-1].end
+        from_hashtag = any(t.from_hashtag for t in span)
+        if all(t.from_hashtag for t in span):
+            surface = " ".join(t.surface for t in span)
+        else:
+            surface = raw[char_start:char_end]
+        variant = gazetteer.variants[candidate.surface]
+        mentions.append(LocationMention(
+            surface=surface,
+            matched_name=candidate.surface,
+            char_start=char_start,
+            char_end=char_end,
+            entry_ids=tuple(sorted(variant.entry_ids)),
+            from_hashtag=from_hashtag,
+        ))
+    mentions.sort(key=lambda m: (m.char_start, m.matched_name))
+    return mentions
+

@@ -7,11 +7,13 @@ import pytest
 
 from locspot import (
     GazetteerEntry,
+    LocationExtractor,
     build_gazetteer,
     compute_model,
     load_cache,
     save_cache,
 )
+from locspot import gazetteer as gazetteer_module
 from locspot.cache import KIND_CODES, MAGIC, VERSION
 from locspot.errors import DataError
 
@@ -186,6 +188,23 @@ def test_version_2_cache_rejected(tmp_path, mini_gazetteer, mini_model):
     ("kinds", lambda v: [7] + v[1:], "unknown variant kind code 7"),
     ("entry_indices", lambda v: [[-1]] + v[1:], "entry index -1 out of range"),
     ("entry_indices", lambda v: [[16]] + v[1:], "entry index 16 out of range"),
+    # extraction reads rows without checking them, so a bad one must
+    # fail here: it would reach the output linked to the wrong entry,
+    # unsorted or repeated
+    ("entry_indices", lambda v: [[True]] + v[1:],
+     "model.lspc: entry index True of .* is not an integer"),
+    ("entry_indices", lambda v: [[1.0]] + v[1:],
+     "model.lspc: entry index 1.0 of .* is not an integer"),
+    ("entry_indices", lambda v: [[3, 1]] + v[1:],
+     "model.lspc: entry indices of .* are not increasing"),
+    ("entry_indices", lambda v: [[2, 2]] + v[1:],
+     "model.lspc: entry indices of .* are not increasing"),
+    ("kinds", lambda v: [True] + v[1:],
+     "model.lspc: unknown variant kind code True"),
+    ("ids", lambda v: v[1:2] + v[:1] + v[2:],
+     "model.lspc: entry ids are not sorted and distinct"),
+    ("surfaces", lambda v: v[:1] + v[:-1],
+     "model.lspc: malformed cache payload.*not distinct"),
 ])
 def test_malformed_index_member_rejected(tmp_path, mini_gazetteer, mini_model,
                                           field, value, message):
@@ -196,6 +215,34 @@ def test_malformed_index_member_rejected(tmp_path, mini_gazetteer, mini_model,
     _write_members(path, index, columns)
     with pytest.raises(DataError, match=message):
         load_cache(path)
+
+
+def test_load_builds_no_variant_and_no_prefix_set(
+        tmp_path, monkeypatch, mini_gazetteer, mini_model, extraction_config):
+    path = tmp_path / "model.lspc"
+    save_cache(path, mini_gazetteer, mini_model)
+    built = []
+
+    class CountedNameVariant(gazetteer_module.NameVariant):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(gazetteer_module, "NameVariant", CountedNameVariant)
+    gazetteer, model = load_cache(path)
+    pipeline = LocationExtractor(model, gazetteer, extraction_config)
+    mentions = pipeline.extract(
+        "We r lucky where I am in New Iberia. #PrayForLouisiana #lawx")
+    assert [m.entry_ids for m in mentions] == [("g3",), ("g4",)]
+    assert built == []
+    assert "prefixes" not in vars(model)
+
+    assert gazetteer.variants["houston"].entry_ids == {"g5"}
+    assert built == ["houston"]
+    assert model.prefixes == mini_model.prefixes
+    assert "prefixes" in vars(model)
 
 
 @pytest.mark.parametrize("damage", [

@@ -235,6 +235,7 @@ def test_extract_wrong_shape_cache_is_data_error(tmp_path):
     {"bbox": 5},
     {"max_edit_distance": "two"},
     {"workers": "two"},
+    {"workers": True},
     {"partial_tp_credit": "half"},
     {"max_edit_distance": 0, "spelling_correction": True},
     {"spelling_correction": "false"},

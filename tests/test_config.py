@@ -98,7 +98,28 @@ def test_not_json_rejected(tmp_path):
     {"partial_tp_credit": "half"},
     {"partial_tp_credit": [0.5]},
     {"spelling_correction": "false"},
+    {"workers": 2.5},
+    {"workers": "3"},
+    {"workers": True},
+    {"max_edit_distance": 1.9},
+    {"max_edit_distance": True},
+    {"partial_tp_credit": -0.5},
+    {"partial_tp_credit": 1.5},
+    {"partial_tp_credit": True},
+    {"partial_tp_credit": float("nan")},
+    {"partial_tp_credit": float("inf")},
 ])
 def test_malformed_values_rejected(tmp_path, body):
     with pytest.raises(ConfigError):
         PipelineConfig.load(write_config(tmp_path, body))
+
+
+def test_numbers_kept_as_written(tmp_path):
+    config = PipelineConfig.load(write_config(tmp_path, {
+        "workers": 3, "max_edit_distance": 1, "partial_tp_credit": 1}))
+    assert (config.workers, config.max_edit_distance) == (3, 1)
+    assert config.partial_tp_credit == 1.0
+    assert isinstance(config.partial_tp_credit, float)
+    config = PipelineConfig.load(write_config(tmp_path, {
+        "partial_tp_credit": 0.5}))
+    assert config.partial_tp_credit == 0.5

@@ -4,20 +4,34 @@ from locspot import (
     AbbreviationDictionary,
     ExtractionConfig,
     ExtractionStats,
+    GazetteerEntry,
     LocationExtractor,
     SegmenterDictionary,
+    build_gazetteer,
     compute_model,
     expand_token,
     extract,
     find_valid_ngrams,
+    load_cache,
     resolve_overlaps,
+    save_cache,
     valid_ngram,
 )
 from locspot.extractor import Candidate
+from locspot.gazetteer import PREFIX, VARIANT
 from locspot.textprep import Token
 
-from conftest import build_from_names
-from oracles import enumerate_candidates, random_names, random_tweet
+from conftest import build_from_names, shipped_dictionaries
+from oracles import (
+    CATEGORY_POOL,
+    WORD_POOL,
+    enumerate_candidates,
+    random_names,
+    random_tweet,
+    reference_build_gazetteer,
+    reference_find_valid_ngrams,
+    reference_resolve_overlaps,
+)
 
 SUFFIXES = AbbreviationDictionary({"rd": {"road"}, "road": {"rd"},
                                    "ave": {"avenue"}, "avenue": {"ave"},
@@ -310,3 +324,101 @@ def test_candidates_match_exhaustive_enumeration(extraction_config):
                for c in find_valid_ngrams(vectors, model, gazetteer)}
         expected = enumerate_candidates(vectors, set(gazetteer.variants))
         assert got == expected, (names, words)
+
+
+# ------------------------------------------------ former hot path, seeded
+
+def _differential_entries(rng):
+    """Random names plus the shapes the variant index must get right.
+
+    Some names are a proper token prefix of another name, some repeat a
+    token, and some are shared by several entries, whose ids do not sort
+    in numeric order.
+    """
+    names = random_names(rng, rng.randint(1, 12))
+    for _ in range(rng.randint(1, 4)):
+        head = " ".join(rng.sample(WORD_POOL, rng.randint(1, 3)))
+        names += [head, f"{head} {rng.choice(CATEGORY_POOL)}"]
+    for _ in range(rng.randint(0, 2)):
+        word = rng.choice(WORD_POOL)
+        names.append(f"{word} {word} {rng.choice(CATEGORY_POOL)}")
+    names += [rng.choice(names) for _ in range(rng.randint(0, 6))]
+    ids = rng.sample(range(1000), len(names))
+    return [GazetteerEntry(f"e{i}", name) for i, name in zip(ids, names)]
+
+
+def _differential_words(rng, vocabulary):
+    """A fragment drawn with replacement, so tokens repeat, plus the
+    shipped abbreviations of the category words and some noise."""
+    pool = sorted(vocabulary) + ["rd", "st", "ave", "blvd", "zzyzx"]
+    words = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+    if rng.random() < 0.3:
+        at = rng.randrange(len(words))
+        words.insert(at, words[at])
+    return words
+
+
+def test_hot_path_matches_former_two_probe_version(extraction_config,
+                                                  tmp_path):
+    rng = random.Random(41)
+    suffixes = extraction_config.suffix_dict
+    osm = extraction_config.osm_abbrev_dict
+    shapes = dict.fromkeys(["prefix variant", "shared", "synonym", "repeat",
+                            "several entries"], 0)
+    for round_index in range(300):
+        entries = _differential_entries(rng)
+        gazetteer = build_gazetteer(entries, **shipped_dictionaries())
+        if not gazetteer.variants:
+            continue
+        if round_index % 10 == 0:
+            save_cache(tmp_path / "model.lspc", gazetteer, None)
+            gazetteer, model = load_cache(tmp_path / "model.lspc")
+        else:
+            model = compute_model(gazetteer)
+        former = reference_build_gazetteer(entries, **shipped_dictionaries())
+        former_model = compute_model(former)
+        shapes["prefix variant"] += bool(
+            set(former.variants) & former_model.prefixes)
+        shapes["shared"] += any(
+            len(v.entry_ids) > 1 for v in former.variants.values())
+
+        for _ in range(10):
+            words = _differential_words(rng, former_model.vocabulary)
+            vectors = [expand_token(w, suffixes, osm) for w in words]
+            shapes["synonym"] += any(len(v.alternatives) > 1
+                                     for v in vectors)
+            shapes["repeat"] += len(set(words)) < len(words)
+            stats, former_stats = ExtractionStats(), ExtractionStats()
+            got = find_valid_ngrams(vectors, model, gazetteer, stats)
+            want = reference_find_valid_ngrams(
+                vectors, former_model, former, former_stats)
+            assert got == want, words
+            assert stats == former_stats, words
+
+            tokens = plain_tokens(words)
+            raw = " ".join(words)
+            mentions = resolve_overlaps(got, gazetteer, tokens, raw)
+            assert mentions == reference_resolve_overlaps(
+                want, former, tokens, raw)
+            shapes["several entries"] += any(len(m.entry_ids) > 1
+                                             for m in mentions)
+    assert min(shapes.values()) >= 50, shapes
+
+
+def test_index_flags_equal_membership():
+    rng = random.Random(43)
+    for _ in range(300):
+        entries = _differential_entries(rng)
+        gazetteer = build_gazetteer(entries, **shipped_dictionaries())
+        former = reference_build_gazetteer(entries, **shipped_dictionaries())
+        if not former.variants:
+            continue
+        variants = set(former.variants)
+        prefixes = compute_model(former).prefixes
+        index = gazetteer.variants
+        assert set(index.codes) == variants | prefixes
+        for surface, code in index.codes.items():
+            assert bool(code & VARIANT) == (surface in variants), surface
+            assert bool(code & PREFIX) == (surface in prefixes), surface
+            if code & VARIANT:
+                assert index.surfaces[code >> 2] == surface
