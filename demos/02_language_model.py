@@ -8,10 +8,9 @@ nonzero. No smoothing: unseen transitions are exactly zero, and that
 zero is the signal separating location names from everything else.
 
 The language model scores; extraction prunes with the proper token
-prefixes of the variants (model.prefixes here), which keep exactly the
-sequences that can still grow into a variant. Extraction itself reads
-them as a PREFIX flag in the gazetteer's variant index, one dict probe
-per sequence.
+prefixes of the variants, which keep exactly the sequences that can
+still grow into a variant. It reads them as a PREFIX flag in the
+gazetteer's variant index, one dict probe per sequence.
 """
 
 from locspot import (
@@ -21,6 +20,7 @@ from locspot import (
     sequence_probability,
     valid_ngram,
 )
+from locspot.gazetteer import PREFIX
 
 entries = [GazetteerEntry("1", "Texas Ave"),
            GazetteerEntry("2", "Texas"),
@@ -30,7 +30,9 @@ gazetteer = build_gazetteer(entries, set(), set(), set())
 model = compute_model(gazetteer)
 
 print("vocabulary:", sorted(model.vocabulary))
-print("prefixes:  ", sorted(model.prefixes))
+print("prefixes:  ", sorted(surface for surface, code
+                           in gazetteer.variants.codes.items()
+                           if code & PREFIX))
 
 # "texas ave" is a valid (and preferred) bigram; "is closed" is not.
 for probe in ("texas", "texas ave", "is closed", "ave texas"):

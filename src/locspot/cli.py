@@ -1,10 +1,11 @@
-"""Command-line interface: build, extract, evaluate, bench.
+"""Command-line interface: build, extract, evaluate.
 
 extract is a JSON-lines filter: each stdin line {"id": ..., "text": ...}
 produces exactly one stdout line with the extracted mentions, in input
 order, regardless of how many worker lanes are running. Malformed lines,
 and lines whose text is longer than MAX_TEXT_CHARS, become inline error
-records instead of aborting the stream. With one lane, stdout is
+records instead of aborting the stream; a lone surrogate that a line's
+JSON decodes to is written as its backslash escape. With one lane, stdout is
 flushed after a record whenever no further input is waiting, so a live
 consumer gets each line when it is ready while a file or a fast pipe
 stays block-buffered. With several lanes (the Pool.imap path), records
@@ -19,7 +20,6 @@ import argparse
 import dataclasses
 import gc
 import json
-import multiprocessing
 import select
 import sys
 import time
@@ -72,10 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="score predictions against gold")
     p_eval.add_argument("predictions", help="JSON-lines extraction output")
     p_eval.add_argument("gold_dir", help="directory of BRAT .ann/.txt pairs")
-    p_bench = sub.add_parser("bench", help="synthetic throughput benchmark")
-    p_bench.add_argument("--tweets", type=int, default=10000)
-    p_bench.add_argument("--variants", type=int, default=50000)
-    p_bench.add_argument("--seed", type=int, default=13)
     return parser
 
 
@@ -186,6 +182,10 @@ def cmd_extract(args) -> int:
         gc.enable()
     if hasattr(sys.stdin, "reconfigure"):
         sys.stdin.reconfigure(errors="replace")  # bad bytes must not abort
+    if hasattr(sys.stdout, "reconfigure"):
+        # valid JSON can decode to a lone surrogate; written as the
+        # escape \ud800 it must not abort the stream either
+        sys.stdout.reconfigure(errors="backslashreplace")
     lines = 0
     started = time.perf_counter()
     if config.workers <= 1:
@@ -195,6 +195,8 @@ def cmd_extract(args) -> int:
             if not select.select([sys.stdin], [], [], 0)[0]:
                 sys.stdout.flush()
     else:
+        import multiprocessing
+
         global _WORKER_EXTRACTOR
         _WORKER_EXTRACTOR = extractor  # inherited on fork
         ctx = multiprocessing.get_context("fork")
@@ -281,31 +283,10 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from .bench import run_benchmark
-
-    config = _load_config(args)
-    report = run_benchmark(
-        tweet_count=args.tweets,
-        variant_target=args.variants,
-        seed=args.seed,
-        extraction_config=_extraction_config(config),
-    )
-    print(json.dumps(report, sort_keys=True, indent=2))
-    print(
-        f"{report['tweets']} tweets in {report['seconds']:.2f}s "
-        f"-> {report['tweets_per_second']:.0f} tweets/s, "
-        f"peak RSS {report['peak_rss_mb']:.0f} MB",
-        file=sys.stderr,
-    )
-    return 0
-
-
 _COMMANDS = {
     "build": cmd_build,
     "extract": cmd_extract,
     "evaluate": cmd_evaluate,
-    "bench": cmd_bench,
 }
 
 

@@ -19,27 +19,21 @@ LOCSPOT_DATA directory when that environment variable is set).
 spelling_correction must be a JSON boolean; a string such as "false"
 is rejected rather than read as true. max_edit_distance and workers
 must be JSON integers of at least 1 (2.5, "3" and true are rejected,
-not rounded or converted), and partial_tp_credit a finite number in
-[0, 1]. A value of the wrong shape or type raises ConfigError.
+not rounded or converted), partial_tp_credit a finite number in
+[0, 1], and bbox a list of four finite numbers ("1234" and true are
+rejected). A value of the wrong shape or type raises ConfigError.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import assets
 from .errors import ConfigError
 from .evaluation import MODES
-from .gazetteer import FORMATS
-
-ASSET_KEYS = (
-    "category_words", "bracket_phrases", "gazetteer_stopnames",
-    "tweet_stopwords", "english_unigrams", "english_words",
-    "street_suffixes", "osm_abbreviations",
-)
+from .gazetteer import FORMATS, is_finite_number
 
 _ASSET_DEFAULTS = {
     "category_words": assets.CATEGORY_WORDS,
@@ -101,11 +95,11 @@ class PipelineConfig:
 
         bbox = raw.get("bbox")
         if bbox is not None:
-            try:
-                south, west, north, east = map(float, bbox)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    "bbox must be [south, west, north, east]") from None
+            if not (isinstance(bbox, list) and len(bbox) == 4
+                    and all(map(is_finite_number, bbox))):
+                raise ConfigError("bbox must be [south, west, north, east] "
+                                  f"as four numbers, got {bbox!r}")
+            south, west, north, east = map(float, bbox)
             if not (south < north and west < east):
                 raise ConfigError(f"bbox is not well-ordered: {bbox}")
             config.bbox = (south, west, north, east)
@@ -114,7 +108,7 @@ class PipelineConfig:
         if not isinstance(asset_specs, dict):
             raise ConfigError("assets must be an object of asset key: path")
         for key, value in asset_specs.items():
-            if key not in ASSET_KEYS:
+            if key not in _ASSET_DEFAULTS:
                 raise ConfigError(f"unknown asset key: {key!r}")
             asset = base / _relative_path(value, f"asset {key!r}")
             if not asset.exists():
@@ -156,7 +150,6 @@ def _positive_int(raw: dict, key: str, default: int) -> int:
 
 def _credit(raw: dict, key: str) -> float:
     value = raw.get(key, 0.0)
-    if (type(value) not in (int, float) or not math.isfinite(value)
-            or not 0 <= value <= 1):
+    if not is_finite_number(value) or not 0 <= value <= 1:
         raise ConfigError(f"{key} must be a number in [0, 1], got {value!r}")
     return float(value)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -160,14 +161,22 @@ def _in_bbox(lat, lon, bbox) -> bool:
     return south <= lat <= north and west <= lon <= east
 
 
+def is_finite_number(value) -> bool:
+    """True for a finite int or float; bool is an int, but not a number."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def _parse_float(value, what, index, path):
     value = value.strip()
     if value == "":
         return None
     try:
-        return float(value)
+        number = float(value)
+        if math.isfinite(number):
+            return number
     except ValueError:
-        raise GazetteerFormatError(f"bad {what}: {value!r}", index, path) from None
+        pass
+    raise GazetteerFormatError(f"bad {what}: {value!r}", index, path)
 
 
 def load_gazetteer(path, format: str, bbox=None) -> list[GazetteerEntry]:
@@ -179,7 +188,10 @@ def load_gazetteer(path, format: str, bbox=None) -> list[GazetteerEntry]:
     An optional bbox (south, west, north, east) drops entries whose
     coordinates fall outside it; entries without coordinates pass.
     Names are preserved verbatim; filtering happens in build_gazetteer.
-    A file that is not UTF-8 raises GazetteerFormatError naming it.
+    A file that is not UTF-8, a coordinate that is not a finite number
+    (a JSON string or boolean, a Geonames nan or inf) and osm_json tags
+    that are not an object each raise GazetteerFormatError naming the
+    file and, where there is one, the record.
     """
     if format not in FORMATS:
         raise ConfigError(f"unknown gazetteer format: {format!r}")
@@ -253,15 +265,19 @@ def _load_json(path, format):
         if source not in SOURCES:
             raise GazetteerFormatError(f"unknown source: {source!r}", index, path)
         lat, lon = rec.get("lat"), rec.get("lon")
-        try:
-            lat = None if lat is None else float(lat)
-            lon = None if lon is None else float(lon)
-        except (TypeError, ValueError):
-            raise GazetteerFormatError("bad lat/lon", index, path) from None
-        extra = rec.get("tags") or {}
+        if not all(v is None or is_finite_number(v) for v in (lat, lon)):
+            raise GazetteerFormatError(
+                f"bad lat/lon: {lat!r}, {lon!r}", index, path)
+        tags = rec.get("tags")
+        if tags is not None and not isinstance(tags, dict):
+            raise GazetteerFormatError(
+                f"'tags' must be an object, not {type(tags).__name__}",
+                index, path)
         entries.append(GazetteerEntry(
             id=f"{source}:{rec_id}", canonical_name=str(name),
-            latitude=lat, longitude=lon, source=source, extra=dict(extra)))
+            latitude=None if lat is None else float(lat),
+            longitude=None if lon is None else float(lon),
+            source=source, extra=tags or {}))
     return entries
 
 

@@ -10,10 +10,10 @@ with every conditional estimated as the ratio of collocation counts.
 There is no smoothing: a sequence containing any unseen transition has
 probability exactly zero, which is the validity signal.
 
-Nothing is computed up front: the vocabulary, the prefix set, the
-counts and the MLE tables are each derived from the variant surfaces on
-first access. Extraction reads only the vocabulary; it probes the
-gazetteer's VariantIndex codes instead of the prefix set.
+Nothing is computed up front: the vocabulary, the counts and the MLE
+tables are each derived from the variant surfaces on first access.
+Extraction reads only the vocabulary; it prunes n-gram assembly with the
+PREFIX flag of the gazetteer's VariantIndex codes.
 """
 
 from __future__ import annotations
@@ -38,11 +38,9 @@ class NGramCounts:
 
 
 class CompiledModel:
-    """Vocabulary, prefix set, and n-gram tables, derived on first use.
+    """Vocabulary and n-gram tables, derived on first use.
 
-    prefixes holds every proper token prefix of a surface, joined by
-    single spaces ("new avadi" for "new avadi road"). Shareable across
-    any number of concurrent readers.
+    Shareable across any number of concurrent readers.
     """
 
     def __init__(self, surfaces):
@@ -51,12 +49,6 @@ class CompiledModel:
     @cached_property
     def vocabulary(self) -> frozenset[str]:
         return frozenset(" ".join(self.surfaces).split())
-
-    @cached_property
-    def prefixes(self) -> frozenset[str]:
-        return frozenset(
-            " ".join(tokens[:k]) for tokens in map(str.split, self.surfaces)
-            for k in range(1, len(tokens)))
 
     @cached_property
     def counts(self) -> NGramCounts:

@@ -525,17 +525,29 @@ def reference_segment(dictionary, text: str) -> tuple[str, ...]:
     return best[n][2]
 
 
-# The former find_valid_ngrams and resolve_overlaps, copied verbatim:
-# two probes per n-gram attempt, one in model.prefixes and one in
-# gazetteer.variants, and entry ids sorted from each variant's set.
+def reference_prefixes(surfaces) -> frozenset[str]:
+    """Every proper token prefix of a surface, joined by single spaces.
+
+    "new avadi" and "new" for "new avadi road": the former
+    CompiledModel.prefixes, copied verbatim.
+    """
+    return frozenset(
+        " ".join(tokens[:k]) for tokens in map(str.split, surfaces)
+        for k in range(1, len(tokens)))
+
+
+# The former find_valid_ngrams and resolve_overlaps, copied verbatim
+# but for the prefix set, which was model.prefixes: two probes per
+# n-gram attempt, one in the prefix set and one in gazetteer.variants,
+# and entry ids sorted from each variant's set.
 def reference_find_valid_ngrams(fragment, model, gazetteer, stats=None) -> set[Candidate]:
     """Bottom-up assembly of valid n-grams over one fragment.
 
     Level 1 keeps every alternative in the model's vocabulary; level k
     glues a level-(k-1) sequence with an adjacent level-1 alternative.
     A sequence becomes a candidate when its surface is a gazetteer
-    variant and is extended only while its surface is in
-    model.prefixes. Every prefix of a variant has nonzero bigram and
+    variant and is extended only while its surface is a proper token
+    prefix of a variant. Every prefix of a variant has nonzero bigram and
     trigram counts, so this keeps exactly the candidates that pruning
     by the language model keeps, and it is the tightest filter that does.
     """
@@ -548,7 +560,7 @@ def reference_find_valid_ngrams(fragment, model, gazetteer, stats=None) -> set[C
             max(len(v.alternatives) for v in fragment),
         )
 
-    prefixes = model.prefixes
+    prefixes = reference_prefixes(model.surfaces)
     variants = gazetteer.variants
     level1 = [[a for a in vector.alternatives if a in model.vocabulary]
               for vector in fragment]

@@ -1,4 +1,4 @@
-"""Synthetic throughput and memory benchmark.
+"""Synthetic throughput and memory run behind acceptance criterion 7.
 
 Generates a reproducible fake region: a gazetteer of the requested
 variant count (names built from word pools, many ending in category
@@ -13,9 +13,9 @@ import random
 import resource
 import time
 
-from .extractor import LocationExtractor
-from .gazetteer import GazetteerEntry, build_gazetteer, skipgram_variants
-from .langmodel import compute_model
+from locspot.extractor import ExtractionConfig, LocationExtractor
+from locspot.gazetteer import GazetteerEntry, build_gazetteer, skipgram_variants
+from locspot.langmodel import compute_model
 
 _SPECIFIC = """
 alder baker cedar dalton ellis fairview granite holly iris juniper
@@ -92,7 +92,6 @@ def run_benchmark(tweet_count=10000, variant_target=50000, seed=13,
                   extraction_config=None) -> dict:
     """Build a synthetic region, extract a tweet stream, report numbers."""
     if extraction_config is None:
-        from .extractor import ExtractionConfig
         extraction_config = ExtractionConfig.load()
 
     entries, gazetteer = synthetic_gazetteer(variant_target, seed)

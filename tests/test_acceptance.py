@@ -28,7 +28,6 @@ from locspot import (
     valid_ngram,
 )
 from locspot.assets import ENGLISH_UNIGRAMS, data_path
-from locspot.bench import run_benchmark
 from locspot.evaluation import GoldAnnotation
 
 from conftest import build_from_names
@@ -38,6 +37,7 @@ from oracles import (
     random_names,
     random_tweet,
 )
+from synthetic import run_benchmark
 
 DATA = Path(__file__).parent / "data"
 

@@ -241,8 +241,6 @@ def test_load_builds_no_variant_and_no_prefix_set(
 
     assert gazetteer.variants["houston"].entry_ids == {"g5"}
     assert built == ["houston"]
-    assert model.prefixes == mini_model.prefixes
-    assert "prefixes" in vars(model)
 
 
 @pytest.mark.parametrize("damage", [

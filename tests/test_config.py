@@ -89,6 +89,10 @@ def test_not_json_rejected(tmp_path):
     {"bbox": 5},
     {"bbox": [12.8, 80.0, "north", 80.4]},
     {"bbox": [12.8, 80.0, 13.3]},
+    {"bbox": "1234"},
+    {"bbox": [True, False, 2, 3]},
+    {"bbox": [12.8, 80.0, 13.3, "80.4"]},
+    {"bbox": [-float("inf"), 80.0, 13.3, 80.4]},
     {"assets": ["tweet_stopwords"]},
     {"assets": {"tweet_stopwords": 3}},
     {"max_edit_distance": "two"},

@@ -30,6 +30,7 @@ from oracles import (
     random_tweet,
     reference_build_gazetteer,
     reference_find_valid_ngrams,
+    reference_prefixes,
     reference_resolve_overlaps,
 )
 
@@ -378,7 +379,7 @@ def test_hot_path_matches_former_two_probe_version(extraction_config,
         former = reference_build_gazetteer(entries, **shipped_dictionaries())
         former_model = compute_model(former)
         shapes["prefix variant"] += bool(
-            set(former.variants) & former_model.prefixes)
+            set(former.variants) & reference_prefixes(former.variants))
         shapes["shared"] += any(
             len(v.entry_ids) > 1 for v in former.variants.values())
 
@@ -414,7 +415,7 @@ def test_index_flags_equal_membership():
         if not former.variants:
             continue
         variants = set(former.variants)
-        prefixes = compute_model(former).prefixes
+        prefixes = reference_prefixes(former.variants)
         index = gazetteer.variants
         assert set(index.codes) == variants | prefixes
         for surface, code in index.codes.items():

@@ -79,6 +79,16 @@ def test_geonames_bad_latitude(tmp_path):
         load_gazetteer(path, "geonames_tsv")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_geonames_non_finite_coordinate_rejected(tmp_path, value):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"1\tA\ta\t\t13.0\t80.0\n2\tB\tb\t\t{value}\t80.0\n",
+                    encoding="utf-8")
+    with pytest.raises(GazetteerFormatError, match="latitude") as err:
+        load_gazetteer(path, "geonames_tsv")
+    assert err.value.record_index == 2
+
+
 def test_unknown_format_is_config_error(tmp_path):
     path = tmp_path / "gaz.xml"
     path.write_text("<gazetteer/>")
@@ -106,6 +116,35 @@ def test_bad_bbox_rejected(tmp_path):
     path.write_text("[]")
     with pytest.raises(ConfigError):
         load_gazetteer(path, "osm_json", bbox=(13.3, 80.0, 12.8, 80.4))
+
+
+@pytest.mark.parametrize("tags", [[1, 2], "ab", [], 7])
+def test_osm_json_tags_must_be_an_object(tmp_path, tags):
+    path = tmp_path / "osm.json"
+    path.write_text(json.dumps([
+        {"id": 1, "name": "Adyar", "tags": None},
+        {"id": 2, "name": "Besant Nagar", "tags": tags},
+    ]))
+    with pytest.raises(GazetteerFormatError, match="tags") as err:
+        load_gazetteer(path, "osm_json")
+    assert err.value.record_index == 1
+
+
+@pytest.mark.parametrize("coordinates", [
+    {"lat": True, "lon": 80.25},
+    {"lat": 13.0, "lon": "12"},
+    {"lat": float("nan"), "lon": 80.25},
+    {"lat": 13.0, "lon": float("inf")},
+])
+def test_json_coordinates_must_be_finite_numbers(tmp_path, coordinates):
+    path = tmp_path / "gaz.json"
+    path.write_text(json.dumps([
+        {"id": "a", "name": "Adyar", "lat": 13, "lon": 80},
+        {"id": "b", "name": "Besant Nagar", **coordinates},
+    ]))
+    with pytest.raises(GazetteerFormatError, match="lat/lon") as err:
+        load_gazetteer(path, "generic_json")
+    assert err.value.record_index == 1
 
 
 def test_malformed_json_record_reports_index(tmp_path):

@@ -10,6 +10,7 @@ from locspot import (
     valid_ngram,
 )
 from locspot.errors import DataError
+from locspot.gazetteer import PREFIX
 
 from conftest import build_from_names
 from oracles import brute_force_probability, random_names
@@ -47,8 +48,10 @@ def test_toy_mle_numbers():
 
 
 def test_prefixes_are_proper_token_prefixes():
-    _, model = model_for("New Avadi Road", "Texas")
-    assert model.prefixes == {"new", "new avadi"}
+    gazetteer, model = model_for("New Avadi Road", "Texas")
+    codes = gazetteer.variants.codes
+    assert {s for s, code in codes.items() if code & PREFIX} == {
+        "new", "new avadi"}
     assert model.vocabulary == {"new", "avadi", "road", "texas"}
     # the counts and MLE tables are derived only when read
     assert not {"counts", "unigram_p", "cpd"} & set(vars(model))
