@@ -5,11 +5,17 @@ produces exactly one stdout line with the extracted mentions, in input
 order, regardless of how many worker lanes are running. Malformed lines,
 and lines whose text is longer than MAX_TEXT_CHARS, become inline error
 records instead of aborting the stream; a lone surrogate that a line's
-JSON decodes to is written as its backslash escape. With one lane, stdout is
-flushed after a record whenever no further input is waiting, so a live
-consumer gets each line when it is ready while a file or a fast pipe
-stays block-buffered. With several lanes (the Pool.imap path), records
-are flushed only when the buffer fills or the stream ends.
+JSON decodes to is written as its backslash escape. Every record goes
+through one write loop, whatever the lane count: stdout is flushed after
+a record whenever no further input is waiting, so a live consumer gets
+each line when it is ready while a file or a fast pipe stays
+block-buffered. One lane extracts in-process. Several lanes are forked
+workers that take CHUNK_LINES lines per task, with at most
+CHUNKS_PER_LANE tasks per lane in flight, so a record reaches a live
+consumer once its chunk has filled or the input has ended. A lane that
+dies ends the run with exit 2; the records already written stay
+written, and stderr says how many there are. Lanes end with their
+parent, even one killed by a signal.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error.
 """
@@ -20,9 +26,12 @@ import argparse
 import dataclasses
 import gc
 import json
+import os
 import select
 import sys
 import time
+from collections import deque
+from itertools import islice
 
 from . import cache as model_cache
 from .assets import read_word_list
@@ -44,6 +53,8 @@ from .langmodel import compute_model
 USAGE_EXIT = 1
 DATA_EXIT = 2
 MAX_TEXT_CHARS = 100_000
+CHUNK_LINES = 64     # input lines per task sent to a lane
+CHUNKS_PER_LANE = 4  # tasks in flight per lane
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,9 +116,7 @@ def _build_artifacts(config: PipelineConfig):
 
 def _extraction_config(config: PipelineConfig) -> ExtractionConfig:
     return ExtractionConfig.load(
-        paths={key: config.asset(key) for key in (
-            "street_suffixes", "osm_abbreviations", "tweet_stopwords",
-            "english_unigrams", "english_words")},
+        paths=config.asset_paths,
         spelling_correction=config.spelling_correction,
         max_edit_distance=config.max_edit_distance,
     )
@@ -121,22 +130,14 @@ def cmd_build(args) -> int:
         raise ConfigError("build needs --model-cache PATH to write")
     gazetteer, model = _build_artifacts(config)
     model_cache.save_cache(args.model_cache, gazetteer, model)
-    counts = model.counts
     print(f"entries:  {len(gazetteer.entries)}")
     print(f"variants: {len(gazetteer.variants)}")
-    print(f"unigrams: {len(counts.unigram_counts)}")
-    print(f"bigrams:  {sum(len(r) for r in counts.bigram_cfd.values())}")
-    print(f"trigrams: {sum(len(r) for r in counts.trigram_cfd.values())}")
     print(f"cache:    {args.model_cache}")
     return 0
 
 
-_WORKER_EXTRACTOR = None
-
-
-def process_line(line, extractor=None) -> str:
+def process_line(line, extractor) -> str:
     """Turn one input line into one output record line."""
-    extractor = extractor or _WORKER_EXTRACTOR
     record_id = None
     try:
         record = json.loads(line)
@@ -154,6 +155,63 @@ def process_line(line, extractor=None) -> str:
     except Exception as exc:  # never abort the stream
         out = {"id": record_id, "error": str(exc), "mentions": []}
     return json.dumps(out, sort_keys=True, ensure_ascii=False)
+
+
+_LANE_EXTRACTOR = None  # set before the lanes fork, so each inherits it
+
+
+def _extract_chunk(lines) -> list[str]:
+    """One lane task: the records of a chunk of lines, in order."""
+    return [process_line(line, _LANE_EXTRACTOR) for line in lines]
+
+
+def _lane_start():
+    """End this lane as soon as the parent process is gone.
+
+    A lane waits for work on a queue whose write end it holds itself, so
+    without this watch a parent killed by a signal would leave it
+    waiting forever.
+    """
+    import threading
+    from multiprocessing import connection, parent_process
+
+    def watch(sentinel):
+        connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, args=(parent_process().sentinel,),
+                     daemon=True).start()
+
+
+def _lane_records(stream, workers, extractor):
+    """Yield the record of every line of stream, in order, from forked lanes.
+
+    At most CHUNKS_PER_LANE * workers chunks are in flight. Finished
+    chunks at the head are yielded as they come, and every chunk in
+    flight is waited for before a read that would block, so no record
+    waits for input that comes after its chunk.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    global _LANE_EXTRACTOR
+    _LANE_EXTRACTOR = extractor
+    window = deque()
+    most = CHUNKS_PER_LANE * workers
+    try:
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_lane_start) as pool:
+            for chunk in iter(lambda: list(islice(stream, CHUNK_LINES)), []):
+                window.append(pool.submit(_extract_chunk, chunk))
+                while window and (len(window) >= most or window[0].done()
+                                  or not select.select([stream], [], [], 0)[0]):
+                    yield from window.popleft().result()
+            while window:
+                yield from window.popleft().result()
+    except BrokenProcessPool:
+        raise DataError("an extraction lane died") from None
 
 
 def _make_extractor(args, config) -> LocationExtractor:
@@ -186,24 +244,19 @@ def cmd_extract(args) -> int:
         # valid JSON can decode to a lone surrogate; written as the
         # escape \ud800 it must not abort the stream either
         sys.stdout.reconfigure(errors="backslashreplace")
+    records = (_lane_records(sys.stdin, config.workers, extractor)
+               if config.workers > 1 else
+               (process_line(line, extractor) for line in sys.stdin))
     lines = 0
     started = time.perf_counter()
-    if config.workers <= 1:
-        for line in sys.stdin:
-            print(process_line(line, extractor))
+    try:
+        for record in records:
+            print(record)
             lines += 1
             if not select.select([sys.stdin], [], [], 0)[0]:
                 sys.stdout.flush()
-    else:
-        import multiprocessing
-
-        global _WORKER_EXTRACTOR
-        _WORKER_EXTRACTOR = extractor  # inherited on fork
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(config.workers) as pool:
-            for out in pool.imap(process_line, sys.stdin, chunksize=64):
-                print(out)
-                lines += 1
+    except DataError as exc:
+        raise DataError(f"{exc}; {lines} records written") from None
     elapsed = time.perf_counter() - started
     rate = lines / elapsed if elapsed > 0 else 0.0
     print(f"processed {lines} lines in {elapsed:.2f}s ({rate:.0f} lines/s)",

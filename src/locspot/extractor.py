@@ -15,6 +15,7 @@ row, which the index keeps sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from . import textprep
 from .assets import (
@@ -180,18 +181,22 @@ def resolve_overlaps(candidates, gazetteer, tokens, raw) -> list[LocationMention
     """Keep the longest mentions among overlapping candidates.
 
     A candidate survives unless a strictly longer surviving candidate
-    overlaps it; equal-length overlapping mentions all survive. Each
-    survivor links to its gazetteer entries, in sorted order, and
-    reports offsets taken from the tweet's own tokens (never from
-    expanded forms).
+    overlaps it; equal-length overlapping mentions all survive. Taken in
+    groups of equal length, longest first, a candidate survives when no
+    token it spans is covered by a survivor of an earlier group, so after
+    the sort the work grows with the candidates times their length, not
+    with their square. Each survivor links to its gazetteer entries, in
+    sorted order, and reports offsets taken from the tweet's own tokens
+    (never from expanded forms).
     """
     ordered = sorted(candidates, key=lambda c: (-c.length(), c.start, c.surface))
+    covered = bytearray(len(tokens))
     kept: list[Candidate] = []
-    for candidate in ordered:
-        if any(other.length() > candidate.length() and other.overlaps(candidate)
-               for other in kept):
-            continue
-        kept.append(candidate)
+    for _, group in groupby(ordered, Candidate.length):
+        survivors = [c for c in group if covered.find(1, c.start, c.end) < 0]
+        for c in survivors:
+            covered[c.start:c.end] = b"\x01" * (c.end - c.start)
+        kept.extend(survivors)
 
     variants = gazetteer.variants
     mentions = []

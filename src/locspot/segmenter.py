@@ -37,6 +37,9 @@ from .assets import read_frequency_table
 from .errors import DataError
 
 _NOT_A_PREFIX = object()
+# longer bodies are segmented afresh on every call, so the memo holds at
+# most maxsize bodies of this length (real hashtags are 13-35 characters)
+MEMO_MAX_CHARS = 64
 
 
 class SegmenterDictionary:
@@ -97,7 +100,10 @@ class SegmenterDictionary:
         """Split text into the most probable word sequence (lossless)."""
         if not text:
             return []
-        return list(self._segment_cached(text.lower()))
+        text = text.lower()
+        if len(text) > MEMO_MAX_CHARS:
+            return list(self._segment(text))
+        return list(self._segment_cached(text))
 
     def _segment(self, text: str) -> tuple[str, ...]:
         n = len(text)

@@ -1,7 +1,10 @@
+import contextlib
 import json
 import os
 import random
+import re
 import select
+import signal
 import subprocess
 import sys
 import zlib
@@ -11,7 +14,7 @@ import pytest
 
 from locspot import load_cache
 from locspot.cache import MAGIC, VERSION
-from locspot.cli import MAX_TEXT_CHARS
+from locspot.cli import CHUNK_LINES, MAX_TEXT_CHARS
 from locspot.errors import DataError
 
 DATA = Path(__file__).parent / "data"
@@ -47,7 +50,6 @@ def test_build_reports_counts(cache_path):
     # 28 variants: 18 cleaned surfaces plus the 8 skip-gram forms of the
     # five-token school name, plus "new road" and "little school"
     assert "variants: 28" in out
-    assert "trigrams:" in out
 
 
 def test_build_without_cache_path_is_usage_error():
@@ -195,6 +197,41 @@ def test_extract_worker_lanes_bit_identical(cache_path):
     assert single == quad
 
 
+# replaces process_line with one that ends its process on the line whose
+# text is "die", then runs the CLI with the remaining arguments
+_LANE_KILLER = """
+import os, sys
+from locspot import cli
+process_line = cli.process_line
+def dying(line, *extractor):
+    if '"text": "die"' in line:
+        os._exit(1)
+    return process_line(line, *extractor)
+cli.process_line = dying
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_extract_lane_death_ends_the_run(cache_path):
+    # a lane that dies must end the run, not hang it: every record that
+    # stderr counts is on stdout, in order, and nothing after them
+    stdin = "".join(
+        json.dumps({"id": f"l{i}",
+                    "text": "die" if i == 300 else "Houston is flooded"})
+        + "\n" for i in range(400))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    result = subprocess.run(
+        [sys.executable, "-c", _LANE_KILLER, "--model-cache",
+         str(cache_path), "--workers", "2", "extract"],
+        input=stdin, capture_output=True, text=True, env=env, timeout=30)
+    assert result.returncode == 2, result.stderr
+    written = int(re.search(r"(\d+) records written", result.stderr)[1])
+    lines = result.stdout.splitlines()
+    assert len(lines) == written < 300
+    assert lines == extract_lines(cache_path, stdin, "--workers", "1")[:written]
+    assert "Traceback" not in result.stderr
+
+
 def test_extract_flushes_when_input_is_idle(cache_path):
     # stdin stays open: the record must arrive without an end of stream,
     # from a child whose stdout is block-buffered as on any pipe
@@ -214,6 +251,65 @@ def test_extract_flushes_when_input_is_idle(cache_path):
             proc.kill()
     assert record["id"] == "live"
     assert record["mentions"][0]["matched_name"] == "houston"
+
+
+@contextlib.contextmanager
+def live_lanes(cache_path):
+    """An `extract` on two lanes whose stdin stays open."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen(
+            [sys.executable, "-m", "locspot", "--model-cache",
+             str(cache_path), "--workers", "2", "extract"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, env=env,
+            start_new_session=True) as proc:
+        try:
+            yield proc
+        finally:
+            # the lanes too, whatever the test left running
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+
+
+def read_until(proc, lines=None, seconds=10):
+    """Read stdout until it holds `lines` lines, or to its end."""
+    out = b""
+    while lines is None or out.count(b"\n") < lines:
+        ready, _, _ = select.select([proc.stdout], [], [], seconds)
+        assert ready, f"stalled after {out.count(10)} lines"
+        data = os.read(proc.stdout.fileno(), 1 << 16)
+        if not data:
+            break
+        out += data
+    return out
+
+
+def write_a_chunk(proc):
+    proc.stdin.write(b"".join(
+        b'{"id": "l%d", "text": "Houston is flooded"}\n' % i
+        for i in range(CHUNK_LINES)))
+    proc.stdin.flush()
+
+
+def test_extract_lanes_write_a_full_chunk_while_input_is_idle(cache_path):
+    # with several lanes a record waits only for its own chunk to fill,
+    # never for input after it
+    with live_lanes(cache_path) as proc:
+        write_a_chunk(proc)
+        out = read_until(proc, CHUNK_LINES)
+    assert [json.loads(line)["id"] for line in out.splitlines()] == [
+        f"l{i}" for i in range(CHUNK_LINES)]
+
+
+def test_extract_lanes_end_with_a_killed_parent(cache_path):
+    # the lanes share the parent's stdout, so it reaches its end only
+    # once no lane is left
+    with live_lanes(cache_path) as proc:
+        write_a_chunk(proc)
+        read_until(proc, CHUNK_LINES)  # so the lanes have started
+        proc.kill()
+        proc.wait()
+        read_until(proc)
 
 
 def test_extract_caps_text_length(cache_path):

@@ -1,4 +1,5 @@
 import random
+import time
 
 from locspot import (
     AbbreviationDictionary,
@@ -17,6 +18,7 @@ from locspot import (
     save_cache,
     valid_ngram,
 )
+from locspot.cli import MAX_TEXT_CHARS
 from locspot.extractor import Candidate
 from locspot.gazetteer import PREFIX, VARIANT
 from locspot.textprep import Token
@@ -33,6 +35,7 @@ from oracles import (
     reference_prefixes,
     reference_resolve_overlaps,
 )
+from synthetic import synthetic_gazetteer
 
 SUFFIXES = AbbreviationDictionary({"rd": {"road"}, "road": {"rd"},
                                    "ave": {"avenue"}, "avenue": {"ave"},
@@ -404,6 +407,24 @@ def test_hot_path_matches_former_two_probe_version(extraction_config,
             shapes["several entries"] += any(len(m.entry_ids) > 1
                                              for m in mentions)
     assert min(shapes.values()) >= 50, shapes
+
+
+def test_back_to_back_variants_extract_in_bounded_time():
+    # one fragment of thousands of overlapping candidates, under the
+    # length cap: pairwise overlap tests took about 6 s on such a line
+    _, gazetteer = synthetic_gazetteer(8000, seed=5)
+    pipeline = LocationExtractor(compute_model(gazetteer), gazetteer,
+                                 ExtractionConfig.load())
+    line = ""
+    for surface in sorted(gazetteer.variants):
+        if len(line) + len(surface) + 1 > MAX_TEXT_CHARS:
+            break
+        line += surface + " "
+    assert len(pipeline.prepare(line).splits) == 1
+    started = time.perf_counter()
+    mentions = pipeline.extract(line)
+    assert time.perf_counter() - started < 2
+    assert len(mentions) > 4000
 
 
 def test_index_flags_equal_membership():

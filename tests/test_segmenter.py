@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -156,3 +157,25 @@ def test_segment_long_body_in_linear_time(shipped):
     words = segment_hashtag("#" + body, shipped)
     assert time.perf_counter() - started < 2
     assert "".join(words) == body
+
+
+def test_memo_keeps_no_long_body():
+    # the memo is bounded in entries; keeping only short bodies bounds its
+    # bytes too, where these 200 long bodies would hold about 0.9 MB
+    counts = {"pray": 5, "for": 9, "houston": 3, "rain": 4}
+    rng = random.Random(13)
+    bodies = ["".join(rng.choice(("Pray", "For", "Houston", "Rain", "x"))
+                      for _ in range(90))[:300] for _ in range(200)]
+    expected = [SegmenterDictionary(counts).segment(b) for b in bodies]
+    dictionary = SegmenterDictionary(counts)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for body, words in zip(bodies, expected):
+            assert dictionary.segment(body) == words
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000, held
+    assert all("".join(words) == body.lower()
+               for body, words in zip(bodies, expected))
