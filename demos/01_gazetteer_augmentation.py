@@ -27,8 +27,9 @@ for name in ("Little Rock School (historical)",
              "Cars India - Adyar"):
     print(f"{name!r:45} -> {filter_entry(name, phrases)}")
 
-# Names ending in a category word grow 2^(m-2) contracted variants:
-# the first and last token stay, interior tokens come and go.
+# Names ending in a category word grow contracted variants: the first
+# and last token stay, and up to 3 interior tokens come and go (all
+# 2^(m-2) subsequences for names of up to 6 tokens).
 full = "balalok matriculation higher secondary school"
 for variant in sorted(skipgram_variants(full.split(), categories)):
     print("  ", variant)

@@ -31,6 +31,5 @@ for tag in ("#PrayForLouisiana", "#lawx", "#houston"):
 
 # Fragments: stop words (minus gazetteer unigrams) are hard boundaries.
 stopwords = read_word_list(data_path(TWEET_STOPWORDS))
-document = prepare_tweet(raw, stopwords, segmenter)
-for fragment in document.splits:
+for fragment in prepare_tweet(raw, stopwords, segmenter):
     print("fragment:", [t.surface for t in fragment])

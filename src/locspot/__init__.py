@@ -30,7 +30,6 @@ from .extractor import (
     LocationMention,
     TokenSynonymVector,
     expand_token,
-    extract,
     find_valid_ngrams,
     resolve_overlaps,
 )
@@ -52,10 +51,9 @@ from .langmodel import (
     valid_ngram,
 )
 from .segmenter import SegmenterDictionary, segment_hashtag
-from .spelling import SymmetricDeleteCorrector, correct_spelling
+from .spelling import SymmetricDeleteCorrector
 from .textprep import (
     Token,
-    TweetDocument,
     clean_tweet,
     prepare_tweet,
     split_on_stopwords,
@@ -81,15 +79,12 @@ __all__ = [
     "SymmetricDeleteCorrector",
     "Token",
     "TokenSynonymVector",
-    "TweetDocument",
     "VariantIndex",
     "aggregate",
     "build_gazetteer",
     "clean_tweet",
     "compute_model",
-    "correct_spelling",
     "expand_token",
-    "extract",
     "filter_entry",
     "find_valid_ngrams",
     "load_annotations",

@@ -28,6 +28,18 @@ ENGLISH_WORDS = "english_words.txt"
 STREET_SUFFIXES = "usps_street_suffixes.tsv"
 OSM_ABBREVIATIONS = "osm_abbreviations.tsv"
 
+# asset key -> packaged file, for every asset a config may override
+ASSET_FILES = {
+    "category_words": CATEGORY_WORDS,
+    "bracket_phrases": BRACKET_PHRASES,
+    "gazetteer_stopnames": GAZETTEER_STOPNAMES,
+    "tweet_stopwords": TWEET_STOPWORDS,
+    "english_unigrams": ENGLISH_UNIGRAMS,
+    "english_words": ENGLISH_WORDS,
+    "street_suffixes": STREET_SUFFIXES,
+    "osm_abbreviations": OSM_ABBREVIATIONS,
+}
+
 
 def data_dir() -> Path:
     root = os.environ.get("LOCSPOT_DATA")
@@ -36,6 +48,11 @@ def data_dir() -> Path:
 
 def data_path(name: str) -> Path:
     return data_dir() / name
+
+
+def asset_path(key: str, overrides=None):
+    """The override for an asset key, else its file in data_dir()."""
+    return (overrides or {}).get(key) or data_path(ASSET_FILES[key])
 
 
 def _content_lines(path):

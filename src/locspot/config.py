@@ -19,7 +19,8 @@ LOCSPOT_DATA directory when that environment variable is set).
 spelling_correction must be a JSON boolean; a string such as "false"
 is rejected rather than read as true. max_edit_distance and workers
 must be JSON integers of at least 1 (2.5, "3" and true are rejected,
-not rounded or converted), partial_tp_credit a finite number in
+not rounded or converted), max_edit_distance at most
+MAX_EDIT_DISTANCE, partial_tp_credit a finite number in
 [0, 1], and bbox a list of four finite numbers ("1234" and true are
 rejected). A value of the wrong shape or type raises ConfigError.
 """
@@ -35,16 +36,9 @@ from .errors import ConfigError
 from .evaluation import MODES
 from .gazetteer import FORMATS, is_finite_number
 
-_ASSET_DEFAULTS = {
-    "category_words": assets.CATEGORY_WORDS,
-    "bracket_phrases": assets.BRACKET_PHRASES,
-    "gazetteer_stopnames": assets.GAZETTEER_STOPNAMES,
-    "tweet_stopwords": assets.TWEET_STOPWORDS,
-    "english_unigrams": assets.ENGLISH_UNIGRAMS,
-    "english_words": assets.ENGLISH_WORDS,
-    "street_suffixes": assets.STREET_SUFFIXES,
-    "osm_abbreviations": assets.OSM_ABBREVIATIONS,
-}
+# each step of the distance doubles the shadows every spelling lookup
+# makes; the paper's typos are one or two edits
+MAX_EDIT_DISTANCE = 3
 
 
 @dataclass
@@ -108,7 +102,7 @@ class PipelineConfig:
         if not isinstance(asset_specs, dict):
             raise ConfigError("assets must be an object of asset key: path")
         for key, value in asset_specs.items():
-            if key not in _ASSET_DEFAULTS:
+            if key not in assets.ASSET_FILES:
                 raise ConfigError(f"unknown asset key: {key!r}")
             asset = base / _relative_path(value, f"asset {key!r}")
             if not asset.exists():
@@ -120,6 +114,10 @@ class PipelineConfig:
             raise ConfigError("spelling_correction must be true or false, got "
                               f"{config.spelling_correction!r}")
         config.max_edit_distance = _positive_int(raw, "max_edit_distance", 2)
+        if config.max_edit_distance > MAX_EDIT_DISTANCE:
+            raise ConfigError(f"max_edit_distance must be at most "
+                              f"{MAX_EDIT_DISTANCE}, got "
+                              f"{config.max_edit_distance}")
         config.partial_tp_credit = _credit(raw, "partial_tp_credit")
         config.eval_mode = raw.get("eval_mode", "standard")
         if config.eval_mode not in MODES:
@@ -129,9 +127,7 @@ class PipelineConfig:
 
     def asset(self, key: str) -> Path:
         """Resolved path for one dictionary asset."""
-        if key in self.asset_paths:
-            return self.asset_paths[key]
-        return assets.data_path(_ASSET_DEFAULTS[key])
+        return assets.asset_path(key, self.asset_paths)
 
 
 def _relative_path(value, what) -> str:

@@ -18,16 +18,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from . import textprep
-from .assets import (
-    ENGLISH_UNIGRAMS,
-    ENGLISH_WORDS,
-    OSM_ABBREVIATIONS,
-    STREET_SUFFIXES,
-    TWEET_STOPWORDS,
-    data_path,
-    read_pair_table,
-    read_word_list,
-)
+from .assets import asset_path, read_pair_table, read_word_list
 from .gazetteer import PREFIX, VARIANT
 from .segmenter import SegmenterDictionary
 from .spelling import SymmetricDeleteCorrector
@@ -48,9 +39,6 @@ class Candidate:
     start: int
     end: int
     surface: str  # the gazetteer variant surface that validated it
-
-    def overlaps(self, other: "Candidate") -> bool:
-        return self.start < other.end and other.start < self.end
 
     def length(self) -> int:
         return self.end - self.start
@@ -240,18 +228,15 @@ class ExtractionConfig:
         paths may override any of: street_suffixes, osm_abbreviations,
         tweet_stopwords, english_unigrams, english_words.
         """
-        paths = dict(paths or {})
-        def where(key, default):
-            return paths.get(key) or data_path(default)
         return cls(
             suffix_dict=AbbreviationDictionary.from_file(
-                where("street_suffixes", STREET_SUFFIXES)),
+                asset_path("street_suffixes", paths)),
             osm_abbrev_dict=AbbreviationDictionary.from_file(
-                where("osm_abbreviations", OSM_ABBREVIATIONS)),
-            stopwords=read_word_list(where("tweet_stopwords", TWEET_STOPWORDS)),
+                asset_path("osm_abbreviations", paths)),
+            stopwords=read_word_list(asset_path("tweet_stopwords", paths)),
             segmenter=SegmenterDictionary.from_file(
-                where("english_unigrams", ENGLISH_UNIGRAMS)),
-            spelling_words=read_word_list(where("english_words", ENGLISH_WORDS)),
+                asset_path("english_unigrams", paths)),
+            spelling_words=read_word_list(asset_path("english_words", paths)),
             spelling_correction=spelling_correction,
             max_edit_distance=max_edit_distance,
         )
@@ -285,7 +270,8 @@ class LocationExtractor:
             for dictionary in (config.suffix_dict, config.osm_abbrev_dict)
             for token in dictionary.keys()}
 
-    def prepare(self, raw: str) -> textprep.TweetDocument:
+    def prepare(self, raw: str) -> list[list[textprep.Token]]:
+        """The stop-word-free fragments of one raw tweet."""
         return textprep.prepare_tweet(
             raw, self.stopwords, self.segmenter, self.corrector)
 
@@ -293,25 +279,16 @@ class LocationExtractor:
         """Extract and link every location mention in one raw tweet."""
         if not isinstance(raw, str) or not raw.strip():
             return []
-        document = self.prepare(raw)
         mentions: list[LocationMention] = []
-        for fragment in document.splits:
+        for fragment in self.prepare(raw):
             vectors = [self.synonyms.get(t.surface)
                        or TokenSynonymVector(t.surface, (t.surface,))
                        for t in fragment]
             candidates = find_valid_ngrams(
                 vectors, self.model, self.gazetteer, stats)
-            mentions.extend(
-                resolve_overlaps(candidates, self.gazetteer, fragment, raw))
+            if candidates:
+                mentions.extend(resolve_overlaps(
+                    candidates, self.gazetteer, fragment, raw))
         mentions.sort(key=lambda m: (m.char_start, m.matched_name))
         return mentions
 
-
-def extract(raw_tweet, model, gazetteer, config) -> list[LocationMention]:
-    """One-shot extraction; builds a throwaway pipeline.
-
-    Callers extracting from many tweets should hold a LocationExtractor
-    instead so the segmenter, synonym map and spelling index are built
-    once.
-    """
-    return LocationExtractor(model, gazetteer, config).extract(raw_tweet)

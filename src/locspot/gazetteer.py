@@ -38,6 +38,9 @@ SKIPGRAM = "skipgram"
 BRACKET_ALTERNATIVE = "bracket_alternative"
 HYPHEN_SPLIT = "hyphen_split"
 
+# a skip-gram keeps at most this many of a name's interior tokens
+MAX_SKIPGRAM_INTERIOR = 3
+
 # precedence when a surface is produced more than once; lower wins
 _KIND_RANK = {ORIGINAL: 0, BRACKET_ALTERNATIVE: 1, HYPHEN_SPLIT: 2, SKIPGRAM: 3}
 
@@ -326,9 +329,11 @@ def skipgram_variants(name_tokens, category_words) -> set[str]:
     """Generate contraction variants of a tokenized name.
 
     When the name has three or more tokens and ends in a category word,
-    every subsequence that keeps the first and last token (2^(m-2) of
-    them, including the full name) is returned. Otherwise only the full
-    name comes back.
+    the full name comes back with every subsequence that keeps the first
+    and last token and at most MAX_SKIPGRAM_INTERIOR interior tokens:
+    all 2^(m-2) subsequences up to m = 6, O(m^3) of them above, as
+    Guthrie et al. bound a k-skip-n-gram ("A Closer Look at Skip-gram
+    Modelling", LREC 2006). Otherwise only the full name comes back.
     """
     tokens = list(name_tokens)
     m = len(tokens)
@@ -336,8 +341,8 @@ def skipgram_variants(name_tokens, category_words) -> set[str]:
     if m <= 2 or tokens[-1] not in category_words:
         return {full}
     interior = tokens[1:-1]
-    variants = set()
-    for k in range(len(interior) + 1):
+    variants = {full}
+    for k in range(min(len(interior), MAX_SKIPGRAM_INTERIOR) + 1):
         for kept in combinations(interior, k):
             variants.add(" ".join([tokens[0], *kept, tokens[-1]]))
     return variants

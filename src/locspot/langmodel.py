@@ -118,10 +118,6 @@ class CompiledModel:
             logp += math.log(c3) - math.log(ctx_bigram)
         return logp
 
-    def probability(self, tokens) -> float:
-        logp = self.log_probability(tokens)
-        return 0.0 if logp == _ZERO else math.exp(logp)
-
 
 def compute_model(gazetteer) -> CompiledModel:
     """Compile the gazetteer's variant surfaces into a CompiledModel."""
@@ -132,7 +128,8 @@ def compute_model(gazetteer) -> CompiledModel:
 
 def sequence_probability(model: CompiledModel, tokens) -> float:
     """Chain probability of a token sequence; 0 for anything unseen."""
-    return model.probability(tokens)
+    logp = model.log_probability(tokens)
+    return 0.0 if logp == _ZERO else math.exp(logp)
 
 
 def valid_ngram(model: CompiledModel, s: str) -> bool:

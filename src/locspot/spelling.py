@@ -119,11 +119,3 @@ class SymmetricDeleteCorrector:
             key=lambda w: (distances[w], -self._frequencies[w], w),
         )
 
-
-def correct_spelling(token, vocabulary, max_edit_distance: int = 2) -> str:
-    """One-shot correction; builds a throwaway index.
-
-    Pipelines should hold a SymmetricDeleteCorrector instead so the
-    delete index is built once.
-    """
-    return SymmetricDeleteCorrector(vocabulary, max_edit_distance).correct(token)

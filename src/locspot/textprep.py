@@ -15,12 +15,17 @@ emoticon that ends the chunk or lead punctuation, a core and trail
 punctuation. Acronym ("u.s.") and number ("1,000.5") cores stay whole;
 other cores split into runs of [.,;:!?] and runs of everything else, so
 "school.west" gives "school", ".", "west".
+
+Preparation (prepare_tweet) returns the stop-word-free fragments of the
+expanded token stream: each token carries raw-text offsets, a spelling
+correction replaces its surface, and each segment of a hashtag is its
+own token spanning the whole hashtag.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
@@ -72,23 +77,6 @@ class Token:
 
     def is_punctuation(self) -> bool:
         return all(ch in _PUNCT for ch in self.surface)
-
-
-@dataclass
-class TweetDocument:
-    """A tweet plus everything derived from it during preparation.
-
-    tokens carry raw-text offsets. hashtag_expansions maps a hashtag
-    token's index to its segmented sub-tokens (which share the full
-    hashtag span). splits are the stop-word-free fragments of the
-    expanded token stream, in order.
-    """
-
-    raw: str
-    cleaned: str
-    tokens: list[Token]
-    splits: list[list[Token]] = field(default_factory=list)
-    hashtag_expansions: dict[int, list[Token]] = field(default_factory=dict)
 
 
 def clean_tweet(raw: str) -> tuple[str, list[int]]:
@@ -152,36 +140,26 @@ def split_on_stopwords(tokens, stoplist) -> list[list[Token]]:
     return fragments
 
 
-def prepare_tweet(raw, stopwords, segmenter=None, corrector=None) -> TweetDocument:
+def prepare_tweet(raw, stopwords, segmenter=None, corrector=None) -> list[list[Token]]:
     """Run the full preparation pipeline on one raw tweet.
 
     Cleans and tokenizes, segments every hashtag through the statistical
     segmenter (when given), optionally replaces out-of-vocabulary token
     surfaces with spelling corrections, and splits the expanded token
-    stream on stop words.
+    stream on stop words. Returns the fragments, with raw offsets.
     """
     cleaned, offset_map = clean_tweet(raw)
-    tokens: list[Token] = []
     stream: list[Token] = []
-    expansions: dict[int, list[Token]] = {}
-    for t in tokenize(cleaned):
-        start = offset_map[t.start]  # a token never spans a separator
-        token = Token(t.surface, start, start + len(t.surface))
-        if t.surface.startswith("#"):
-            if segmenter is not None and len(t.surface) > 1:
-                expansions[len(tokens)] = [
+    for token in tokenize(cleaned):
+        start = offset_map[token.start]  # a token never spans a separator
+        token.start, token.end = start, start + len(token.surface)
+        if token.surface.startswith("#"):
+            if segmenter is not None and len(token.surface) > 1:
+                stream.extend(
                     Token(w, token.start, token.end, from_hashtag=True)
-                    for w in segmenter.segment(t.surface[1:])]
-                stream.extend(expansions[len(tokens)])
-            else:
-                stream.append(token)
+                    for w in segmenter.segment(token.surface[1:]))
+                continue
         elif corrector is not None and not token.is_punctuation():
-            stream.append(Token(corrector.correct(t.surface),
-                                token.start, token.end))
-        else:
-            stream.append(token)
-        tokens.append(token)
-
-    splits = split_on_stopwords(stream, stopwords)
-    return TweetDocument(raw=raw, cleaned=cleaned, tokens=tokens,
-                         splits=splits, hashtag_expansions=expansions)
+            token.surface = corrector.correct(token.surface)
+        stream.append(token)
+    return split_on_stopwords(stream, stopwords)

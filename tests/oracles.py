@@ -594,6 +594,10 @@ def reference_find_valid_ngrams(fragment, model, gazetteer, stats=None) -> set[C
     return candidates
 
 
+def _overlaps(a: Candidate, b: Candidate) -> bool:
+    return a.start < b.end and b.start < a.end
+
+
 def reference_resolve_overlaps(candidates, gazetteer, tokens, raw) -> list[LocationMention]:
     """Keep the longest mentions among overlapping candidates.
 
@@ -605,8 +609,8 @@ def reference_resolve_overlaps(candidates, gazetteer, tokens, raw) -> list[Locat
     ordered = sorted(candidates, key=lambda c: (-c.length(), c.start, c.surface))
     kept: list[Candidate] = []
     for candidate in ordered:
-        if any(other.length() > candidate.length() and other.overlaps(candidate)
-               for other in kept):
+        if any(other.length() > candidate.length()
+               and _overlaps(other, candidate) for other in kept):
             continue
         kept.append(candidate)
 

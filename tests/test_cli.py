@@ -364,6 +364,7 @@ def test_extract_wrong_shape_cache_is_data_error(tmp_path):
     {"workers": True},
     {"partial_tp_credit": "half"},
     {"max_edit_distance": 0, "spelling_correction": True},
+    {"max_edit_distance": 4, "spelling_correction": True},
     {"spelling_correction": "false"},
 ])
 def test_extract_malformed_config_is_config_error(cache_path, tmp_path, body):

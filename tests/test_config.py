@@ -97,6 +97,7 @@ def test_not_json_rejected(tmp_path):
     {"assets": {"tweet_stopwords": 3}},
     {"max_edit_distance": "two"},
     {"max_edit_distance": 0, "spelling_correction": True},
+    {"max_edit_distance": 4, "spelling_correction": True},
     {"workers": "many"},
     {"workers": None},
     {"partial_tp_credit": "half"},

@@ -11,7 +11,6 @@ from locspot import (
     build_gazetteer,
     compute_model,
     expand_token,
-    extract,
     find_valid_ngrams,
     load_cache,
     resolve_overlaps,
@@ -203,10 +202,11 @@ def test_abbreviation_match_reports_original_span(mini_extractor):
 
 def test_extract_malformed_inputs(mini_model, mini_gazetteer,
                                   extraction_config):
-    assert extract(None, mini_model, mini_gazetteer, extraction_config) == []
-    assert extract("", mini_model, mini_gazetteer, extraction_config) == []
-    assert extract("\x00\x01\x02", mini_model, mini_gazetteer,
-                   extraction_config) == []
+    pipeline = LocationExtractor(mini_model, mini_gazetteer,
+                                 extraction_config)
+    assert pipeline.extract(None) == []
+    assert pipeline.extract("") == []
+    assert pipeline.extract("\x00\x01\x02") == []
 
 
 def test_extract_follows_config_changes(mini_model, mini_gazetteer,
@@ -215,10 +215,11 @@ def test_extract_follows_config_changes(mini_model, mini_gazetteer,
 
     config = dataclasses.replace(extraction_config)
     raw = "flooding near new avadi rd"
-    mentions = extract(raw, mini_model, mini_gazetteer, config)
+    mentions = LocationExtractor(mini_model, mini_gazetteer, config).extract(raw)
     assert [m.matched_name for m in mentions] == ["new avadi road"]
     config.spelling_correction = True  # "rd" is now corrected away
-    assert extract(raw, mini_model, mini_gazetteer, config) == []
+    pipeline = LocationExtractor(mini_model, mini_gazetteer, config)
+    assert pipeline.extract(raw) == []
 
 
 def test_extract_is_deterministic(mini_extractor):
@@ -420,7 +421,7 @@ def test_back_to_back_variants_extract_in_bounded_time():
         if len(line) + len(surface) + 1 > MAX_TEXT_CHARS:
             break
         line += surface + " "
-    assert len(pipeline.prepare(line).splits) == 1
+    assert len(pipeline.prepare(line)) == 1
     started = time.perf_counter()
     mentions = pipeline.extract(line)
     assert time.perf_counter() - started < 2

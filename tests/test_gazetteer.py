@@ -251,6 +251,16 @@ def test_skipgram_count_and_shape():
             assert all(w in it for w in words)
 
 
+def test_skipgram_keeps_at_most_three_interior_tokens():
+    # 1 + 10 + 45 + 120 subsequences of the 10 interior tokens, plus the
+    # full name; every subsequence would be 2^10
+    tokens = [f"w{i}" for i in range(11)] + ["road"]
+    variants = skipgram_variants(tokens, CATEGORIES)
+    assert len(variants) == 177
+    assert " ".join(tokens) in variants
+    assert all(len(v.split()) <= 5 for v in variants - {" ".join(tokens)})
+
+
 # ---------------------------------------------------------------- building
 
 def test_build_hammond_not_readded(mini_gazetteer):

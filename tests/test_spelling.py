@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 
-from locspot import SymmetricDeleteCorrector, correct_spelling, spelling
+from locspot import SymmetricDeleteCorrector, spelling
 
 from oracles import ReferenceSymmetricDeleteCorrector, levenshtein_damerau
 
@@ -34,7 +34,8 @@ def test_non_alphabetic_unchanged():
 
 
 def test_one_shot_helper():
-    assert correct_spelling("chennnai", set(VOCABULARY)) == "chennai"
+    corrector = SymmetricDeleteCorrector(set(VOCABULARY))
+    assert corrector.correct("chennnai") == "chennai"
 
 
 def oracle_candidates(token, vocabulary, max_distance):

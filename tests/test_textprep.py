@@ -263,16 +263,16 @@ def test_split_gazetteer_unigrams_never_split(mini_extractor):
 
 def test_prepare_tweet_document(mini_extractor):
     raw = "We r lucky where I am in New Iberia. #PrayForLouisiana #lawx"
-    doc = prepare_tweet(raw, mini_extractor.stopwords,
-                        mini_extractor.segmenter)
-    for token in doc.tokens:
-        assert raw[token.start:token.end].lower() == token.surface
-    hashtag_indices = [i for i, t in enumerate(doc.tokens)
-                       if t.surface.startswith("#")]
-    assert set(doc.hashtag_expansions) == set(hashtag_indices)
-    words = [t.surface for f in doc.splits for t in f]
+    fragments = prepare_tweet(raw, mini_extractor.stopwords,
+                              mini_extractor.segmenter)
+    for token in (t for f in fragments for t in f):
+        if token.from_hashtag:
+            assert raw[token.start:token.end].startswith("#")
+        else:
+            assert raw[token.start:token.end].lower() == token.surface
+    words = [t.surface for f in fragments for t in f]
     assert "louisiana" in words and "law" in words
-    for fragment in doc.splits:
+    for fragment in fragments:
         for token in fragment:
             assert token.surface not in mini_extractor.stopwords
 
@@ -283,11 +283,11 @@ def test_prepare_matches_staged_oracle(mini_extractor):
               (mini_extractor.segmenter, corrector), (None, corrector)]
     for raw in _fuzz_strings(12, 5000):
         for segmenter, speller in stages:
-            doc = prepare_tweet(raw, mini_extractor.stopwords, segmenter,
-                                speller)
-            tokens, splits = reference_prepare_tweet(
+            fragments = prepare_tweet(raw, mini_extractor.stopwords,
+                                      segmenter, speller)
+            _, splits = reference_prepare_tweet(
                 raw, mini_extractor.stopwords, segmenter, speller)
-            assert (doc.tokens, doc.splits) == (tokens, splits), repr(raw)
+            assert fragments == splits, repr(raw)
 
 
 def test_prepare_is_deterministic(mini_extractor):
