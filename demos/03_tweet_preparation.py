@@ -2,9 +2,11 @@
 Tweet cleaning, tokenization, and hashtag segmentation
 ======================================================
 
-Raw tweets are masked (retweet markers, URLs, mentions, non-ASCII),
-case-folded, and tokenized so that hashtags stay whole, acronyms keep
-their periods, and missing spaces after sentence periods still split.
+Raw tweets are masked in place (retweet markers, URLs, mentions,
+non-ASCII become spaces), case-folded, and tokenized so that hashtags
+stay whole, acronyms keep their periods, and missing spaces after
+sentence periods still split. The cleaned text keeps the raw text's
+length, so a token's offsets point into the raw tweet.
 Hashtags then break into words by dynamic programming over unigram
 probabilities, and stop words cut the stream into candidate fragments.
 """
@@ -14,11 +16,13 @@ from locspot.assets import ENGLISH_UNIGRAMS, TWEET_STOPWORDS, data_path, read_wo
 from locspot.textprep import prepare_tweet
 
 raw = "RT @nws Major flooding in New Iberia. #PrayForLouisiana http://t.co/x"
-cleaned, offsets = clean_tweet(raw)
+cleaned = clean_tweet(raw)
 print("raw:    ", raw)
-print("cleaned:", cleaned)
+print("cleaned:", repr(cleaned))
 
-print("tokens: ", [t.surface for t in tokenize(cleaned)])
+tokens = tokenize(cleaned)
+print("tokens: ", [t.surface for t in tokens])
+print("in raw: ", [raw[t.start:t.end] for t in tokens])
 print("acronym:", [t.surface for t in tokenize("u.s. aid en route")])
 print("glued:  ", [t.surface for t in tokenize("oxford school.west mambalam..")])
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 _PACKAGE_DATA = Path(__file__).parent / "data"
 
@@ -48,6 +48,13 @@ def data_dir() -> Path:
 
 def data_path(name: str) -> Path:
     return data_dir() / name
+
+
+def check_asset_keys(overrides):
+    """Raise ConfigError for an override key that names no asset."""
+    for key in overrides or ():
+        if key not in ASSET_FILES:
+            raise ConfigError(f"unknown asset key: {key!r}")
 
 
 def asset_path(key: str, overrides=None):

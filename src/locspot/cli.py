@@ -9,13 +9,13 @@ JSON decodes to is written as its backslash escape. Every record goes
 through one write loop, whatever the lane count: stdout is flushed after
 a record whenever no further input is waiting, so a live consumer gets
 each line when it is ready while a file or a fast pipe stays
-block-buffered. One lane extracts in-process. Several lanes are forked
-workers that take CHUNK_LINES lines per task, with at most
-CHUNKS_PER_LANE tasks per lane in flight, so a record reaches a live
-consumer once its chunk has filled or the input has ended. A lane that
-dies ends the run with exit 2; the records already written stay
-written, and stderr says how many there are. Lanes end with their
-parent, even one killed by a signal.
+block-buffered. One lane extracts in-process. Several lanes (at most
+MAX_WORKERS) are forked workers that take CHUNK_LINES lines per task,
+with at most CHUNKS_PER_LANE tasks per lane in flight, so a record
+reaches a live consumer once its chunk has filled or the input has
+ended. A lane that dies ends the run with exit 2; the records already
+written stay written, and stderr says how many there are. Lanes end
+with their parent, even one killed by a signal.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error.
 """
@@ -35,7 +35,7 @@ from itertools import islice
 
 from . import cache as model_cache
 from .assets import read_word_list
-from .config import PipelineConfig
+from .config import MAX_WORKERS, PipelineConfig, bounded_count
 from .errors import ConfigError, DataError, LocspotError
 from .evaluation import (
     _parse_annotations,
@@ -89,9 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> PipelineConfig:
     config = PipelineConfig.load(args.config) if args.config else PipelineConfig()
     if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("workers must be a positive integer")
-        config.workers = args.workers
+        config.workers = bounded_count("workers", args.workers, MAX_WORKERS)
     if args.spell is not None:
         config.spelling_correction = args.spell == "on"
     if args.eval_mode is not None:

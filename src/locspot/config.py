@@ -18,11 +18,11 @@ directory. Unlisted assets fall back to the packaged data files (or the
 LOCSPOT_DATA directory when that environment variable is set).
 spelling_correction must be a JSON boolean; a string such as "false"
 is rejected rather than read as true. max_edit_distance and workers
-must be JSON integers of at least 1 (2.5, "3" and true are rejected,
-not rounded or converted), max_edit_distance at most
-MAX_EDIT_DISTANCE, partial_tp_credit a finite number in
-[0, 1], and bbox a list of four finite numbers ("1234" and true are
-rejected). A value of the wrong shape or type raises ConfigError.
+must be JSON integers from 1 to MAX_EDIT_DISTANCE and MAX_WORKERS (2.5,
+"3" and true are rejected, not rounded or converted; --workers is held
+to the same bound), partial_tp_credit a finite number in [0, 1], and
+bbox a list of four finite numbers ("1234" and true are rejected). A
+value of the wrong shape or type raises ConfigError.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from .gazetteer import FORMATS, is_finite_number
 # each step of the distance doubles the shadows every spelling lookup
 # makes; the paper's typos are one or two edits
 MAX_EDIT_DISTANCE = 3
+# each lane forks a copy of the model that turns private as it is used
+MAX_WORKERS = 32
 
 
 @dataclass
@@ -101,9 +103,8 @@ class PipelineConfig:
         asset_specs = raw.get("assets") or {}
         if not isinstance(asset_specs, dict):
             raise ConfigError("assets must be an object of asset key: path")
+        assets.check_asset_keys(asset_specs)
         for key, value in asset_specs.items():
-            if key not in assets.ASSET_FILES:
-                raise ConfigError(f"unknown asset key: {key!r}")
             asset = base / _relative_path(value, f"asset {key!r}")
             if not asset.exists():
                 raise ConfigError(f"asset file does not exist: {asset}")
@@ -113,16 +114,15 @@ class PipelineConfig:
         if not isinstance(config.spelling_correction, bool):
             raise ConfigError("spelling_correction must be true or false, got "
                               f"{config.spelling_correction!r}")
-        config.max_edit_distance = _positive_int(raw, "max_edit_distance", 2)
-        if config.max_edit_distance > MAX_EDIT_DISTANCE:
-            raise ConfigError(f"max_edit_distance must be at most "
-                              f"{MAX_EDIT_DISTANCE}, got "
-                              f"{config.max_edit_distance}")
+        config.max_edit_distance = bounded_count(
+            "max_edit_distance", raw.get("max_edit_distance", 2),
+            MAX_EDIT_DISTANCE)
         config.partial_tp_credit = _credit(raw, "partial_tp_credit")
         config.eval_mode = raw.get("eval_mode", "standard")
         if config.eval_mode not in MODES:
             raise ConfigError(f"unknown eval_mode: {config.eval_mode!r}")
-        config.workers = _positive_int(raw, "workers", 1)
+        config.workers = bounded_count(
+            "workers", raw.get("workers", 1), MAX_WORKERS)
         return config
 
     def asset(self, key: str) -> Path:
@@ -136,11 +136,12 @@ def _relative_path(value, what) -> str:
     return value
 
 
-def _positive_int(raw: dict, key: str, default: int) -> int:
-    value = raw.get(key, default)
+def bounded_count(key: str, value, most: int) -> int:
+    """value, if it is an int from 1 to most; else ConfigError."""
     # bool is a subclass of int, and true is not a count
-    if type(value) is not int or value < 1:
-        raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+    if type(value) is not int or not 1 <= value <= most:
+        raise ConfigError(f"{key} must be an integer from 1 to {most}, "
+                          f"got {value!r}")
     return value
 
 

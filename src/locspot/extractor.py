@@ -1,8 +1,8 @@
 """Location mention extraction.
 
-Each stop-word-free fragment of a prepared tweet is expanded into token
-synonym vectors (abbreviations and expansions in both directions), then
-a bottom-up tree glues consecutive tokens into longer sequences, keeping
+Each token of a stop-word-free fragment of a prepared tweet gets its
+alternatives (abbreviations and expansions in both directions), then a
+bottom-up tree glues consecutive tokens into longer sequences, keeping
 only those that are a proper prefix of some gazetteer variant (the
 same candidates as language-model pruning; see find_valid_ngrams).
 Sequences whose surface is an actual gazetteer variant become
@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from . import textprep
-from .assets import asset_path, read_pair_table, read_word_list
+from .assets import (
+    asset_path, check_asset_keys, read_pair_table, read_word_list)
 from .gazetteer import PREFIX, VARIANT
 from .segmenter import SegmenterDictionary
 from .spelling import SymmetricDeleteCorrector
@@ -110,7 +111,7 @@ def expand_token(token, suffix_dict, osm_abbrev_dict) -> TokenSynonymVector:
 
 
 def find_valid_ngrams(fragment, model, gazetteer, stats=None) -> set[Candidate]:
-    """Bottom-up assembly of valid n-grams over one fragment.
+    """Bottom-up assembly of valid n-grams over a fragment's .alternatives.
 
     Level 1 keeps every alternative in the model's vocabulary; level k
     glues a level-(k-1) sequence with an adjacent level-1 alternative.
@@ -132,8 +133,8 @@ def find_valid_ngrams(fragment, model, gazetteer, stats=None) -> set[Candidate]:
 
     codes = gazetteer.variants.codes
     vocabulary = model.vocabulary
-    level1 = [[a for a in vector.alternatives if a in vocabulary]
-              for vector in fragment]
+    level1 = [[a for a in position.alternatives if a in vocabulary]
+              for position in fragment]
 
     candidates: set[Candidate] = set()
     # surfaces by start position, of the current length, that can still
@@ -225,9 +226,10 @@ class ExtractionConfig:
     def load(cls, paths=None, spelling_correction=False, max_edit_distance=2):
         """Load the shipped (or overridden) dictionary assets.
 
-        paths may override any of: street_suffixes, osm_abbreviations,
-        tweet_stopwords, english_unigrams, english_words.
+        paths may override any key of assets.ASSET_FILES (a key that is
+        not one raises ConfigError); five of them are read here.
         """
+        check_asset_keys(paths)
         return cls(
             suffix_dict=AbbreviationDictionary.from_file(
                 asset_path("street_suffixes", paths)),
@@ -263,17 +265,21 @@ class LocationExtractor:
                           for w in config.spelling_words | model.vocabulary}
             self.corrector = SymmetricDeleteCorrector(
                 vocabulary, config.max_edit_distance)
-        # any token missing here has the vector (token,)
+        # any token missing here has the alternatives (token,)
         self.synonyms = {
             token: expand_token(
-                token, config.suffix_dict, config.osm_abbrev_dict)
+                token, config.suffix_dict, config.osm_abbrev_dict).alternatives
             for dictionary in (config.suffix_dict, config.osm_abbrev_dict)
             for token in dictionary.keys()}
 
     def prepare(self, raw: str) -> list[list[textprep.Token]]:
-        """The stop-word-free fragments of one raw tweet."""
-        return textprep.prepare_tweet(
+        """The stop-word-free fragments of one raw tweet, alternatives set."""
+        fragments = textprep.prepare_tweet(
             raw, self.stopwords, self.segmenter, self.corrector)
+        for fragment in fragments:
+            for t in fragment:  # by the surface after spelling correction
+                t.alternatives = self.synonyms.get(t.surface) or (t.surface,)
+        return fragments
 
     def extract(self, raw: str, stats=None) -> list[LocationMention]:
         """Extract and link every location mention in one raw tweet."""
@@ -281,11 +287,8 @@ class LocationExtractor:
             return []
         mentions: list[LocationMention] = []
         for fragment in self.prepare(raw):
-            vectors = [self.synonyms.get(t.surface)
-                       or TokenSynonymVector(t.surface, (t.surface,))
-                       for t in fragment]
             candidates = find_valid_ngrams(
-                vectors, self.model, self.gazetteer, stats)
+                fragment, self.model, self.gazetteer, stats)
             if candidates:
                 mentions.extend(resolve_overlaps(
                     candidates, self.gazetteer, fragment, raw))

@@ -1,13 +1,13 @@
 """Tweet cleaning, tokenization, and stop-word splitting.
 
-Cleaning is blank-then-scan: non-ASCII and whitespace characters,
-URLs, user mentions and retweet markers become spaces in place, so
-every character keeps its raw index; one scan over the remaining words
-then emits the case-folded text and an offset map from cleaned
-positions back to raw ones, for mention spans into the original text.
-URLs, mentions and retweet markers are matched on the raw text, each
-pattern on its own: a non-ASCII word character still extends a span
-before it is blanked, and overlapping matches are all blanked.
+Cleaning blanks, then case-folds: non-ASCII and whitespace characters,
+URLs, user mentions and retweet markers become spaces in place, and
+what is left is ASCII ('İ'.lower() is two characters), so the cleaned
+text keeps every character at its raw index, and token offsets into it
+are offsets into the raw text. URLs, mentions and retweet markers are
+matched on the raw text, each pattern on its own: a non-ASCII word
+character still extends a span before it is blanked, and overlapping
+matches are all blanked.
 
 Tokenization matches one grammar against each space-separated chunk:
 a chain of hashtags ("#a#b", one token per tag), then either an
@@ -68,25 +68,25 @@ _CHUNK_PIECES = tuple(
 
 @dataclass
 class Token:
-    """A token with [start, end) character offsets into its source text."""
+    """A token with [start, end) character offsets into its source text,
+    and the surfaces n-gram assembly tries there (set by the extractor)."""
 
     surface: str
     start: int
     end: int
     from_hashtag: bool = False
+    alternatives: tuple[str, ...] = ()
 
     def is_punctuation(self) -> bool:
         return all(ch in _PUNCT for ch in self.surface)
 
 
-def clean_tweet(raw: str) -> tuple[str, list[int]]:
+def clean_tweet(raw: str) -> str:
     """Strip retweet markers, URLs, mentions, and non-ASCII; case-fold.
 
-    Returns the cleaned text and an offset map where map[i] is the raw
-    index of cleaned character i. Everything removed is first blanked
-    in place (spans matched on the raw text), then one scan over the
-    words joins them; a separator maps to the blank before its word, so
-    the map is strictly increasing.
+    Everything removed becomes a space in place (spans matched on the
+    raw text), so the result has the length of raw and character i of
+    it comes from raw[i].
     """
     masked = _BLANK_RE.sub(" ", raw)
     buffer = None  # blanked in place, so many spans cost linear time
@@ -98,14 +98,7 @@ def clean_tweet(raw: str) -> tuple[str, list[int]]:
             buffer[start:end] = b" " * (end - start)
     if buffer is not None:
         masked = buffer.decode("ascii")
-    words: list[str] = []
-    offset_map: list[int] = []
-    for m in _WORD_RE.finditer(masked.lower()):
-        if words:
-            offset_map.append(m.start() - 1)
-        words.append(m.group())
-        offset_map.extend(range(m.start(), m.end()))
-    return " ".join(words), offset_map
+    return masked.lower()
 
 
 def tokenize(cleaned: str) -> list[Token]:
@@ -148,11 +141,8 @@ def prepare_tweet(raw, stopwords, segmenter=None, corrector=None) -> list[list[T
     surfaces with spelling corrections, and splits the expanded token
     stream on stop words. Returns the fragments, with raw offsets.
     """
-    cleaned, offset_map = clean_tweet(raw)
     stream: list[Token] = []
-    for token in tokenize(cleaned):
-        start = offset_map[token.start]  # a token never spans a separator
-        token.start, token.end = start, start + len(token.surface)
+    for token in tokenize(clean_tweet(raw)):
         if token.surface.startswith("#"):
             if segmenter is not None and len(token.surface) > 1:
                 stream.extend(

@@ -362,6 +362,7 @@ def test_extract_wrong_shape_cache_is_data_error(tmp_path):
     {"max_edit_distance": "two"},
     {"workers": "two"},
     {"workers": True},
+    {"workers": 33},
     {"partial_tp_credit": "half"},
     {"max_edit_distance": 0, "spelling_correction": True},
     {"max_edit_distance": 4, "spelling_correction": True},
@@ -374,6 +375,14 @@ def test_extract_malformed_config_is_config_error(cache_path, tmp_path, body):
                      str(cache_path), "extract", stdin="")
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("workers", ["0", "33"])
+def test_extract_workers_out_of_bounds_is_config_error(cache_path, workers):
+    result = run_cli("--model-cache", str(cache_path), "--workers", workers,
+                     "extract", stdin="")
+    assert result.returncode == 1
+    assert "workers must be an integer from 1 to 32" in result.stderr
 
 
 @pytest.mark.parametrize("asset, name, data, where", [

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from locspot.config import PipelineConfig
+from locspot.config import MAX_WORKERS, PipelineConfig
 from locspot.errors import ConfigError
+from locspot.extractor import ExtractionConfig
 
 
 def write_config(tmp_path, body):
@@ -70,6 +71,18 @@ def test_workers_must_be_positive(tmp_path):
         PipelineConfig.load(write_config(tmp_path, {"workers": 0}))
 
 
+def test_workers_up_to_the_bound(tmp_path):
+    config = PipelineConfig.load(
+        write_config(tmp_path, {"workers": MAX_WORKERS}))
+    assert config.workers == MAX_WORKERS == 32
+
+
+def test_extraction_config_rejects_unknown_asset_key(tmp_path):
+    with pytest.raises(ConfigError,
+                       match="^unknown asset key: 'tweet_stopword'$"):
+        ExtractionConfig.load(paths={"tweet_stopword": tmp_path / "x.txt"})
+
+
 def test_bad_eval_mode_rejected(tmp_path):
     with pytest.raises(ConfigError):
         PipelineConfig.load(write_config(tmp_path, {"eval_mode": "idk"}))
@@ -106,6 +119,7 @@ def test_not_json_rejected(tmp_path):
     {"workers": 2.5},
     {"workers": "3"},
     {"workers": True},
+    {"workers": 33},
     {"max_edit_distance": 1.9},
     {"max_edit_distance": True},
     {"partial_tp_credit": -0.5},

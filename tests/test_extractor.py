@@ -17,6 +17,7 @@ from locspot import (
     save_cache,
     valid_ngram,
 )
+from locspot import extractor as extractor_module
 from locspot.cli import MAX_TEXT_CHARS
 from locspot.extractor import Candidate
 from locspot.gazetteer import PREFIX, VARIANT
@@ -198,6 +199,42 @@ def test_abbreviation_match_reports_original_span(mini_extractor):
     mention = mentions[0]
     assert mention.matched_name == "avadi road"
     assert raw[mention.char_start:mention.char_end] == "avadi rd"
+
+
+def test_prepared_tokens_carry_their_alternatives(
+        mini_model, mini_gazetteer, extraction_config):
+    import dataclasses
+
+    suffixes = extraction_config.suffix_dict
+    osm = extraction_config.osm_abbrev_dict
+    spelling = dataclasses.replace(extraction_config, spelling_correction=True)
+    raws = [raw for raw, _ in TABLE5] + [
+        "accident on avadi rd this morning", "flooding near avadi raod"]
+    for config in (extraction_config, spelling):
+        pipeline = LocationExtractor(mini_model, mini_gazetteer, config)
+        for raw in raws:
+            for token in (t for f in pipeline.prepare(raw) for t in f):
+                assert token.alternatives == expand_token(
+                    token.surface, suffixes, osm).alternatives, raw
+    # looked up after correction: "raod" becomes "road", which has "rd"
+    corrected = pipeline.prepare("avadi raod")[0][1]
+    assert (corrected.surface, corrected.alternatives) == ("road", ("road", "rd"))
+
+
+def test_extract_builds_no_synonym_vector(mini_extractor, monkeypatch):
+    built = []
+
+    class CountedVector(extractor_module.TokenSynonymVector):
+        def __init__(self, *args, **kwargs):
+            built.append(args or kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(extractor_module, "TokenSynonymVector", CountedVector)
+    for raw, expected in TABLE5:
+        mentions = mini_extractor.extract(raw)
+        got = [(m.surface, m.matched_name, m.from_hashtag) for m in mentions]
+        assert got == expected, raw
+    assert built == []
 
 
 def test_extract_malformed_inputs(mini_model, mini_gazetteer,

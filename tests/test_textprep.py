@@ -17,20 +17,17 @@ from oracles import (
 # ---------------------------------------------------------------- cleaning
 
 def test_clean_removes_rt_mention_url():
-    cleaned, _ = clean_tweet("RT @user flood in adyar http://t.co/x")
-    assert cleaned == "flood in adyar"
+    cleaned = clean_tweet("RT @user flood in adyar http://t.co/x")
+    assert cleaned.split() == ["flood", "in", "adyar"]
 
 
 def test_clean_keeps_plain_text():
     raw = "water level in Ganapathy Colony is around 2 m"
-    cleaned, offset_map = clean_tweet(raw)
-    assert cleaned == raw.lower()
-    assert offset_map == list(range(len(raw)))
+    assert clean_tweet(raw) == raw.lower()
 
 
 def test_clean_drops_non_ascii():
-    cleaned, _ = clean_tweet("flooding… café")
-    assert cleaned == "flooding caf"
+    assert clean_tweet("flooding… café") == "flooding  caf "
 
 
 def test_clean_never_grows_and_maps_uniquely():
@@ -38,26 +35,23 @@ def test_clean_never_grows_and_maps_uniquely():
     alphabet = "ab #@.:é…xyz/RT "
     for _ in range(300):
         raw = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
-        cleaned, offset_map = clean_tweet(raw)
-        assert len(cleaned) <= len(raw)
-        assert len(offset_map) == len(cleaned)
-        assert offset_map == sorted(set(offset_map))  # strictly increasing
+        cleaned = clean_tweet(raw)
+        assert len(cleaned) == len(raw)
+        for i, ch in enumerate(cleaned):
+            assert ch == " " or ch == raw[i].lower(), (raw, i)
 
 
 def test_clean_offsets_realign_tokens():
     # oracle: every cleaned token must be findable in the raw text at
-    # exactly the mapped position (case-insensitively)
+    # exactly its own offsets (case-insensitively)
     samples = [
         "RT @who Big flood near Adyar http://x.io/a #ChennaiRains",
         "café closed — stay safe everyone",
         "Water @ Ganapathy Colony is 2m!!",
     ]
     for raw in samples:
-        cleaned, offset_map = clean_tweet(raw)
-        for token in tokenize(cleaned):
-            raw_start = offset_map[token.start]
-            raw_end = offset_map[token.end - 1] + 1
-            assert raw[raw_start:raw_end].lower() == token.surface
+        for token in tokenize(clean_tweet(raw)):
+            assert raw[token.start:token.end].lower() == token.surface
 
 
 # URL, mention and retweet pieces, every whitespace and control class the
@@ -81,25 +75,31 @@ def _fuzz_strings(seed, how_many):
 
 
 def test_clean_matches_per_character_oracle():
+    # the oracle collapses space runs and maps what is left to raw
+    # indices; the cleaned text keeps every character at its raw index
     for raw in _fuzz_strings(11, 5000):
-        assert clean_tweet(raw) == reference_clean_tweet(raw), repr(raw)
+        cleaned = clean_tweet(raw)
+        text, offset_map = reference_clean_tweet(raw)
+        assert len(cleaned) == len(raw), repr(raw)
+        assert " ".join(w for w in cleaned.split(" ") if w) == text, repr(raw)
+        kept = [i for i, ch in enumerate(cleaned) if ch != " "]
+        assert kept == [i for i, ch in zip(offset_map, text) if ch != " "], \
+            repr(raw)
 
 
 def test_clean_blanks_overlapping_mention_and_url():
     # the mention ends inside the URL; both spans are blanked
-    assert clean_tweet("hi @foowww.x.com there")[0] == "hi there"
+    assert clean_tweet("hi @foowww.x.com there").split() == ["hi", "there"]
 
 
 def test_clean_keeps_non_whitespace_controls():
-    cleaned, offset_map = clean_tweet("a\x00b \x1fc\x7f")
-    assert cleaned == "a\x00b c\x7f"
-    assert offset_map == [0, 1, 2, 4, 5, 6]
+    assert clean_tweet("a\x00b \x1fc\x7f") == "a\x00b  c\x7f"
 
 
 def test_clean_many_mentions_in_linear_time():
     raw = "@a " * 350_000  # about 1 MB, every word a mention
     started = time.perf_counter()
-    assert clean_tweet(raw) == ("", [])
+    assert clean_tweet(raw) == " " * len(raw)
     assert time.perf_counter() - started < 5
 
 
@@ -185,7 +185,7 @@ def _chunk_strings(seed, how_many):
 
 def test_tokenize_matches_chunk_oracle():
     texts = _chunk_strings(13, 60_000)
-    texts += [clean_tweet(raw)[0] for raw in _fuzz_strings(14, 40_000)]
+    texts += [clean_tweet(raw) for raw in _fuzz_strings(14, 40_000)]
     for text in texts:
         assert tokenize(text) == reference_tokenize(text), repr(text)
 
